@@ -86,8 +86,7 @@ void Begin(const char* name) {
               PaperScale()
                   ? ""
                   : " (set SKIPNODE_BENCH_SCALE=paper for the full sweep)");
-  std::printf("simd:  %s (compiled: %s)\n", config.simd ? "on" : "off",
-              simd::CompiledMode());
+  std::printf("simd:  %s\n", config.simd ? "on" : "off");
   if (g_json_sink != nullptr) {
     std::printf("jsonl: %s\n", config.json_path.c_str());
   }

@@ -353,7 +353,7 @@ void SimdSweep() {
   SetParallelThreadCount(1);  // Single-thread: isolate the kernel speedup.
   const int reps = bench::Pick(50, 500);
   std::printf("\nSIMD microkernels vs scalar reference, 1 thread, %d reps "
-              "(ns/op, compiled: %s)\n", reps, simd::CompiledMode());
+              "(ns/op)\n", reps);
   Rng rng(11);
 
   {

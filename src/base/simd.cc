@@ -39,16 +39,4 @@ void SetEnabled(bool enabled) {
   g_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
-const char* CompiledMode() {
-#if defined(SKIPNODE_SIMD_SCALAR)
-  return "scalar";
-#elif defined(SKIPNODE_SIMD_AVX2)
-  return "avx2";
-#elif defined(SKIPNODE_SIMD_NEON)
-  return "neon";
-#else
-  return "portable";
-#endif
-}
-
 }  // namespace skipnode::simd

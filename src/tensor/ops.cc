@@ -36,6 +36,8 @@ constexpr int kGemmColumnBlock = 256;
 
 void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
           const GemmOptions& options) {
+  SKIPNODE_CHECK_MSG(!(options.transpose_a && options.transpose_b),
+                     "Gemm supports A^T * B or A * B^T, not A^T * B^T");
   // Shapes of the transposed views: out is m x n, shared dimension k.
   const int m = options.transpose_a ? a.cols() : a.rows();
   const int k = options.transpose_a ? a.rows() : a.cols();
@@ -45,9 +47,9 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
   // Per-variant names so the backward-pass shapes (dW = X^T dY, dX = dY W^T)
   // show up separately from the forward GEMM in a snapshot.
   const char* timer_name =
-      !options.transpose_a
-          ? (!options.transpose_b ? "tensor.gemm" : "tensor.gemm_tb")
-          : (!options.transpose_b ? "tensor.gemm_ta" : "tensor.gemm_tt");
+      options.transpose_a ? "tensor.gemm_ta"
+      : options.transpose_b ? "tensor.gemm_tb"
+                            : "tensor.gemm";
   const ScopedTimer timer(timer_name, /*items=*/m);
   const int64_t min_rows =
       MinRowsPerThread(2 * static_cast<int64_t>(k) * n);
@@ -86,7 +88,7 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
           }
         },
         min_rows);
-  } else if (options.transpose_a && !options.transpose_b) {
+  } else if (options.transpose_a) {
     // out rows are columns of A. Each thread walks all rows of A but writes
     // only its own block of output rows, in the same i-ascending order the
     // serial kernel used, so the sums are bit-for-bit unchanged.
@@ -117,7 +119,7 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
           }
         },
         min_rows);
-  } else if (!options.transpose_a && options.transpose_b) {
+  } else {
     // Row-by-row dot products. The exact path keeps the serial kernel's
     // double accumulator; fast_math opts into the reassociated
     // lane-accumulator dot (deterministic, but not bitwise equal to exact).
@@ -144,26 +146,6 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
                 }
                 oi[p] += static_cast<float>(dot);
               }
-            }
-          }
-        },
-        min_rows);
-  } else {
-    // A^T * B^T: column-strided reads of A; rare (no current caller), kept
-    // for completeness of the Gemm surface.
-    ParallelFor(
-        0, m,
-        [&](int64_t row_begin, int64_t row_end) {
-          for (int p = static_cast<int>(row_begin); p < row_end; ++p) {
-            float* __restrict op = out.row(p);
-            if (!accumulate) std::fill(op, op + n, 0.0f);
-            for (int q = 0; q < n; ++q) {
-              const float* __restrict bq = b.row(q);
-              double dot = 0.0;
-              for (int i = 0; i < k; ++i) {
-                dot += static_cast<double>(a(i, p)) * bq[i];
-              }
-              op[q] += static_cast<float>(dot);
             }
           }
         },

@@ -31,11 +31,12 @@ struct GemmOptions {
   bool fast_math = false;
 };
 
-// out (+)= op(A) * op(B) with op fixed by `options`. Shapes are checked
-// against the transposed views. Parallel over output rows: each thread owns
-// a disjoint contiguous block of rows of `out`, and the accumulation order
-// within any row is independent of the thread count, so results are bitwise
-// identical for every SKIPNODE_NUM_THREADS (see base/parallel.h).
+// out (+)= op(A) * op(B) with op fixed by `options`; at most one of the two
+// transposes may be set (A^T * B^T aborts). Shapes are checked against the
+// transposed views. Parallel over output rows: each thread owns a disjoint
+// contiguous block of rows of `out`, and the accumulation order within any
+// row is independent of the thread count, so results are bitwise identical
+// for every SKIPNODE_NUM_THREADS (see base/parallel.h).
 void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
           const GemmOptions& options = {});
 

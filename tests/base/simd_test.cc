@@ -190,8 +190,7 @@ TEST(SimdTest, AdamStepMatchesRefBitwiseCoupledAndDecoupled) {
 TEST(SimdTest, DotFastIsDeterministicAndMatchesRef) {
   // DotFast reassociates, so it is NOT pinned against a serial sum; the
   // contract is that Vec and Ref implement the identical lane-then-tree
-  // order, making fast_math results independent of the compile flavour and
-  // the runtime switch.
+  // order, making fast_math results independent of the runtime switch.
   Rng rng(7);
   for (const int64_t n : kSizes) {
     const std::vector<float> a = RandomVec(n, rng);
@@ -231,13 +230,6 @@ TEST(SimdTest, SetEnabledOverridesRuntimeSwitch) {
   SetEnabled(true);
   EXPECT_TRUE(Enabled());
   SetEnabled(saved);
-}
-
-TEST(SimdTest, CompiledModeNamesAKnownFlavour) {
-  const std::string mode = CompiledMode();
-  EXPECT_TRUE(mode == "scalar" || mode == "portable" || mode == "avx2" ||
-              mode == "neon")
-      << mode;
 }
 
 }  // namespace

@@ -148,22 +148,27 @@ TEST(FusedTrainTest, HarnessIsSelfConsistent) {
 
 // End-to-end DESIGN section 14 pin: the SKIPNODE_SIMD kill-switch routes
 // every kernel through the scalar references, and a whole training run must
-// not move by a single bit.
+// not move by a single bit — with the switch on or off, at 1, 4 and 8
+// threads (the property tools/check_simd.sh proves on saved checkpoints).
 TEST(FusedTrainTest, TrainingIsBitwiseIdenticalAcrossSimdSwitch) {
   Fixture setup;
   const StrategyConfig strategy = StrategyConfig::SkipNodeU(0.5f);
   const bool saved = simd::Enabled();
-  simd::SetEnabled(true);
-  const TrainedRun vec =
-      Train(setup, "GCN", strategy, /*fused=*/true, /*pooled=*/true, 1);
   simd::SetEnabled(false);
-  const TrainedRun scalar =
+  const TrainedRun reference =
       Train(setup, "GCN", strategy, /*fused=*/true, /*pooled=*/true, 1);
-  const TrainedRun scalar_4t =
-      Train(setup, "GCN", strategy, /*fused=*/true, /*pooled=*/true, 4);
+  for (const int threads : {1, 4, 8}) {
+    for (const bool vec : {false, true}) {
+      if (threads == 1 && !vec) continue;  // The reference itself.
+      simd::SetEnabled(vec);
+      const TrainedRun run = Train(setup, "GCN", strategy, /*fused=*/true,
+                                   /*pooled=*/true, threads);
+      ExpectBitwiseEqual(reference, run,
+                         std::string("simd=") + (vec ? "on" : "off") + "@" +
+                             std::to_string(threads) + "t");
+    }
+  }
   simd::SetEnabled(saved);
-  ExpectBitwiseEqual(vec, scalar, "simd on-vs-off");
-  ExpectBitwiseEqual(vec, scalar_4t, "simd on-vs-off@4t");
 }
 
 // fast_math (the reassociated Gemm dot) changes the floats — by rounding

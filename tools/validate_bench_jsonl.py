@@ -174,8 +174,8 @@ def check_micro(path, records):
 
     # SIMD sweep (DESIGN section 14): the vectorized microkernels must beat
     # the retained scalar references by >= 1.5x single-threaded on the three
-    # gate cells. The margin is conservative — the portable build's
-    # compiler-vectorized strips measure ~3-4x on a 4-lane SSE2 baseline.
+    # gate cells. The margin is conservative — the compiler-vectorized
+    # strips measure ~3-4x on a 4-lane SSE2 baseline.
     SIMD_SPEEDUP_FLOOR = 1.5
 
     def simd_cell(cell, simd_on):
