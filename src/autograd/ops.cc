@@ -25,17 +25,23 @@ Var Tape::MatMul(Var a, Var b) {
   const bool fast_math = fast_math_;
   Matrix value = AcquireOutput(a.rows(), b.cols());
   Gemm(a.value(), b.value(), value, {.fast_math = fast_math});
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), AnyNeedsGrad({a, b}));
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_, bi = b.index_;
-  node(oi).backward = [tape, oi, ai, bi, fast_math]() {
+  SetBackward(out, [tape, oi, ai, bi, fast_math]() {
     const Matrix& g = tape->node(oi).grad;
-    // dA += g * B^T ; dB += A^T * g (both row-parallel through Gemm).
-    Gemm(g, tape->node(bi).value, tape->EnsureGrad(ai),
-         {.transpose_b = true, .accumulate = true, .fast_math = fast_math});
-    Gemm(tape->node(ai).value, g, tape->EnsureGrad(bi),
-         {.transpose_a = true, .accumulate = true, .fast_math = fast_math});
-  };
+    // dA += g * B^T ; dB += A^T * g (both row-parallel through Gemm), each
+    // only for a parent that needs it: the constant input features of the
+    // first layer never pay for their N x F gradient.
+    if (Matrix* ga = tape->ParentGrad(ai)) {
+      Gemm(g, tape->node(bi).value, *ga,
+           {.transpose_b = true, .accumulate = true, .fast_math = fast_math});
+    }
+    if (Matrix* gb = tape->ParentGrad(bi)) {
+      Gemm(tape->node(ai).value, g, *gb,
+           {.transpose_a = true, .accumulate = true, .fast_math = fast_math});
+    }
+  });
   return out;
 }
 
@@ -44,17 +50,17 @@ Var Tape::SpMM(std::shared_ptr<const CsrMatrix> a, Var x) {
   SKIPNODE_CHECK(x.tape_ == this);
   Matrix value = AcquireOutput(a->rows(), x.cols());
   a->MultiplyAccumulate(x.value(), value);
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), AnyNeedsGrad({x}));
   Tape* tape = this;
   const int oi = out.index_, xi = x.index_;
-  node(oi).backward = [tape, oi, xi, a = std::move(a)]() {
+  SetBackward(out, [tape, oi, xi, a = std::move(a)]() {
     // Labels the whole backward hop (parallel gather + accumulate) so the
     // per-op cost is separable from the raw sparse.spmm_t kernel timer.
     const ScopedTimer timer("autograd.spmm_backward", /*items=*/a->cols());
     const Matrix& g = tape->node(oi).grad;
     Matrix gx = a->MultiplyTransposed(g);
     AddScaled(gx, 1.0f, tape->EnsureGrad(xi));
-  };
+  });
   return out;
 }
 
@@ -70,23 +76,24 @@ Var Tape::SpMMRowSelect(std::shared_ptr<const CsrMatrix> a, Var x, Var pre,
   Matrix value = AcquireOutput(a->rows(), x.cols());
   CopyRowsWhere(pre.value(), skip_mask, value);
   a->MultiplyAccumulateMasked(x.value(), skip_mask, value);
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), AnyNeedsGrad({x, pre}));
   Tape* tape = this;
   const int oi = out.index_, xi = x.index_, pi = pre.index_;
-  node(oi).backward = [tape, oi, xi, pi, a = std::move(a),
-                       mask = std::move(skip_mask)]() {
+  SetBackward(out, [tape, oi, xi, pi, a = std::move(a),
+                    mask = std::move(skip_mask)]() {
     const ScopedTimer timer("autograd.spmm_rowselect_backward",
                             /*items=*/a->cols());
     const Matrix& g = tape->node(oi).grad;
     // dX += A^T * (g with skipped rows zeroed): the masked transpose never
     // reads the skipped rows, matching the zero rows RowSelect's backward
     // would have left in the convolution gradient.
-    Matrix gx = a->MultiplyTransposedMasked(g, mask);
-    AddScaled(gx, 1.0f, tape->EnsureGrad(xi));
+    if (Matrix* gx = tape->ParentGrad(xi)) {
+      AddScaled(a->MultiplyTransposedMasked(g, mask), 1.0f, *gx);
+    }
     // Skipped rows bypass the convolution entirely — SkipNode's gradient
     // highway (Eq. 4).
-    AddRowsWhere(g, mask, tape->EnsureGrad(pi));
-  };
+    if (Matrix* gp = tape->ParentGrad(pi)) AddRowsWhere(g, mask, *gp);
+  });
   return out;
 }
 
@@ -109,18 +116,19 @@ Var Tape::AddRowBroadcast(Var x, Var bias) {
       simd::AddRef(xv.row(r), bd, value.row(r), value.cols());
     }
   }
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), AnyNeedsGrad({x, bias}));
   Tape* tape = this;
   const int oi = out.index_, xi = x.index_, bi = bias.index_;
-  node(oi).backward = [tape, oi, xi, bi]() {
+  SetBackward(out, [tape, oi, xi, bi]() {
     const Matrix& g = tape->node(oi).grad;
-    AddScaled(g, 1.0f, tape->EnsureGrad(xi));
+    if (Matrix* gx = tape->ParentGrad(xi)) AddScaled(g, 1.0f, *gx);
     // Column accumulation: rows add into the bias gradient in ascending row
     // order (each element's sum order is fixed — vector lanes are distinct
     // columns), preserving the serial kernel's bits.
-    Matrix& gb = tape->EnsureGrad(bi);
+    Matrix* gb = tape->ParentGrad(bi);
+    if (gb == nullptr) return;
     const bool vec = simd::Enabled();
-    float* gbd = gb.row(0);
+    float* gbd = gb->row(0);
     for (int r = 0; r < g.rows(); ++r) {
       if (vec) {
         simd::Accumulate(g.row(r), gbd, g.cols());
@@ -128,7 +136,7 @@ Var Tape::AddRowBroadcast(Var x, Var bias) {
         simd::AccumulateRef(g.row(r), gbd, g.cols());
       }
     }
-  };
+  });
   return out;
 }
 
@@ -137,25 +145,25 @@ Var Tape::Axpby(Var a, Var b, float alpha, float beta) {
   SKIPNODE_CHECK(a.value().SameShape(b.value()));
   Matrix value = AcquireOutput(a.rows(), a.cols());
   AxpbyInto(a.value(), b.value(), alpha, beta, value);
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), AnyNeedsGrad({a, b}));
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_, bi = b.index_;
-  node(oi).backward = [tape, oi, ai, bi, alpha, beta]() {
+  SetBackward(out, [tape, oi, ai, bi, alpha, beta]() {
     const Matrix& g = tape->node(oi).grad;
-    AddScaled(g, alpha, tape->EnsureGrad(ai));
-    AddScaled(g, beta, tape->EnsureGrad(bi));
-  };
+    if (Matrix* ga = tape->ParentGrad(ai)) AddScaled(g, alpha, *ga);
+    if (Matrix* gb = tape->ParentGrad(bi)) AddScaled(g, beta, *gb);
+  });
   return out;
 }
 
 Var Tape::Scale(Var a, float s) {
   SKIPNODE_CHECK(a.tape_ == this);
-  Var out = Emplace(skipnode::Scale(a.value(), s));
+  Var out = Emplace(skipnode::Scale(a.value(), s), AnyNeedsGrad({a}));
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_;
-  node(oi).backward = [tape, oi, ai, s]() {
+  SetBackward(out, [tape, oi, ai, s]() {
     AddScaled(tape->node(oi).grad, s, tape->EnsureGrad(ai));
-  };
+  });
   return out;
 }
 
@@ -163,14 +171,14 @@ Var Tape::Relu(Var a) {
   SKIPNODE_CHECK(a.tape_ == this);
   Matrix value = AcquireOutput(a.rows(), a.cols());
   ReluInto(a.value(), value);
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), AnyNeedsGrad({a}));
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_;
-  node(oi).backward = [tape, oi, ai]() {
+  SetBackward(out, [tape, oi, ai]() {
     // Pass-through where the *input* was positive.
     Matrix masked = ReluBackward(tape->node(ai).value, tape->node(oi).grad);
     AddScaled(masked, 1.0f, tape->EnsureGrad(ai));
-  };
+  });
   return out;
 }
 
@@ -178,20 +186,25 @@ Var Tape::Dropout(Var a, float rate, bool training, Rng& rng) {
   SKIPNODE_CHECK(a.tape_ == this);
   SKIPNODE_CHECK(rate >= 0.0f && rate < 1.0f);
   if (!training || rate == 0.0f) return a;
-  const float keep_scale = 1.0f / (1.0f - rate);
   Matrix mask(a.rows(), a.cols());
-  for (int64_t i = 0; i < mask.size(); ++i) {
-    mask.data()[i] = rng.Bernoulli(rate) ? 0.0f : keep_scale;
-  }
   Matrix value = AcquireOutput(a.rows(), a.cols());
-  HadamardInto(a.value(), mask, value);
-  Var out = Emplace(std::move(value));
+  {
+    const ScopedTimer timer("autograd.dropout", /*items=*/a.rows());
+    // One draw per element in row-major order (the Rng stream every seeded
+    // run depends on); indexing by the draw instead of branching on it
+    // keeps the loop free of an unpredictable branch.
+    const float keep[2] = {1.0f / (1.0f - rate), 0.0f};
+    float* md = mask.data();
+    for (int64_t i = 0; i < mask.size(); ++i) md[i] = keep[rng.Bernoulli(rate)];
+    HadamardInto(a.value(), mask, value);
+  }
+  Var out = Emplace(std::move(value), AnyNeedsGrad({a}));
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_;
-  node(oi).backward = [tape, oi, ai, mask = std::move(mask)]() {
+  SetBackward(out, [tape, oi, ai, mask = std::move(mask)]() {
     Matrix ga = Hadamard(tape->node(oi).grad, mask);
     AddScaled(ga, 1.0f, tape->EnsureGrad(ai));
-  };
+  });
   return out;
 }
 
@@ -200,32 +213,36 @@ Var Tape::ConcatCols(const std::vector<Var>& parts) {
   std::vector<const Matrix*> values;
   std::vector<int> indices;
   values.reserve(parts.size());
+  bool needs_grad = false;
   for (const Var& part : parts) {
     SKIPNODE_CHECK(part.tape_ == this);
     values.push_back(&part.value());
     indices.push_back(part.index_);
+    needs_grad = needs_grad || part.needs_grad();
   }
-  Var out = Emplace(skipnode::ConcatCols(values));
+  Var out = Emplace(skipnode::ConcatCols(values), needs_grad);
   Tape* tape = this;
   const int oi = out.index_;
-  node(oi).backward = [tape, oi, indices = std::move(indices)]() {
+  SetBackward(out, [tape, oi, indices = std::move(indices)]() {
     const Matrix& g = tape->node(oi).grad;
     const bool vec = simd::Enabled();
     int col_offset = 0;
     for (const int pi : indices) {
-      Matrix& gp = tape->EnsureGrad(pi);
-      for (int r = 0; r < gp.rows(); ++r) {
-        const float* src = g.row(r) + col_offset;
-        float* dst = gp.row(r);
-        if (vec) {
-          simd::Accumulate(src, dst, gp.cols());
-        } else {
-          simd::AccumulateRef(src, dst, gp.cols());
+      const int cols = tape->node(pi).value.cols();
+      if (Matrix* gp = tape->ParentGrad(pi)) {
+        for (int r = 0; r < gp->rows(); ++r) {
+          const float* src = g.row(r) + col_offset;
+          float* dst = gp->row(r);
+          if (vec) {
+            simd::Accumulate(src, dst, cols);
+          } else {
+            simd::AccumulateRef(src, dst, cols);
+          }
         }
       }
-      col_offset += gp.cols();
+      col_offset += cols;
     }
-  };
+  });
   return out;
 }
 
@@ -237,42 +254,47 @@ Var Tape::LinearCombination(const std::vector<Var>& parts, Var coefficients) {
   const Matrix& coeff = coefficients.value();
   Matrix value(parts[0].rows(), parts[0].cols());
   std::vector<int> indices;
+  bool needs_grad = coefficients.needs_grad();
   for (size_t k = 0; k < parts.size(); ++k) {
     SKIPNODE_CHECK(parts[k].tape_ == this);
     SKIPNODE_CHECK(parts[k].value().SameShape(value));
     AddScaled(parts[k].value(), coeff(0, static_cast<int>(k)), value);
     indices.push_back(parts[k].index_);
+    needs_grad = needs_grad || parts[k].needs_grad();
   }
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), needs_grad);
   Tape* tape = this;
   const int oi = out.index_, ci = coefficients.index_;
-  node(oi).backward = [tape, oi, ci, indices = std::move(indices)]() {
+  SetBackward(out, [tape, oi, ci, indices = std::move(indices)]() {
     const Matrix& g = tape->node(oi).grad;
     const Matrix& coeff = tape->node(ci).value;
-    Matrix& gc = tape->EnsureGrad(ci);
+    Matrix* gc = tape->ParentGrad(ci);
     for (size_t k = 0; k < indices.size(); ++k) {
-      const Matrix& xk = tape->node(indices[k]).value;
-      AddScaled(g, coeff(0, static_cast<int>(k)),
-                tape->EnsureGrad(indices[k]));
+      if (Matrix* gk = tape->ParentGrad(indices[k])) {
+        AddScaled(g, coeff(0, static_cast<int>(k)), *gk);
+      }
+      if (gc == nullptr) continue;
       // d/dc_k = <g, X_k>.
+      const Matrix& xk = tape->node(indices[k]).value;
       double dot = 0.0;
       for (int64_t i = 0; i < g.size(); ++i) {
         dot += static_cast<double>(g.data()[i]) * xk.data()[i];
       }
-      gc(0, static_cast<int>(k)) += static_cast<float>(dot);
+      (*gc)(0, static_cast<int>(k)) += static_cast<float>(dot);
     }
-  };
+  });
   return out;
 }
 
 Var Tape::GatherRows(Var x, std::vector<int> rows) {
   SKIPNODE_CHECK(x.tape_ == this);
-  Var out = Emplace(skipnode::GatherRows(x.value(), rows));
+  Var out =
+      Emplace(skipnode::GatherRows(x.value(), rows), AnyNeedsGrad({x}));
   Tape* tape = this;
   const int oi = out.index_, xi = x.index_;
-  node(oi).backward = [tape, oi, xi, rows = std::move(rows)]() {
+  SetBackward(out, [tape, oi, xi, rows = std::move(rows)]() {
     ScatterAddRows(tape->node(oi).grad, rows, tape->EnsureGrad(xi));
-  };
+  });
   return out;
 }
 
@@ -331,19 +353,20 @@ Var Tape::GatAggregate(std::shared_ptr<const CsrMatrix> pattern, Var h,
       }
     }
   });
-  Var out = Emplace(std::move(value));
+  Var out =
+      Emplace(std::move(value), AnyNeedsGrad({h, score_src, score_dst}));
 
   Tape* tape = this;
   const int oi = out.index_, hi = h.index_;
   const int si = score_src.index_, di = score_dst.index_;
-  node(oi).backward = [tape, oi, hi, si, di, leaky_slope,
-                       pattern = std::move(pattern), raw = std::move(raw),
-                       alpha = std::move(alpha)]() {
+  SetBackward(out, [tape, oi, hi, si, di, leaky_slope,
+                    pattern = std::move(pattern), raw = std::move(raw),
+                    alpha = std::move(alpha)]() {
     const Matrix& g = tape->node(oi).grad;
     const Matrix& hv = tape->node(hi).value;
-    Matrix& gh = tape->EnsureGrad(hi);
-    Matrix& gs = tape->EnsureGrad(si);
-    Matrix& gd = tape->EnsureGrad(di);
+    Matrix* gh = tape->ParentGrad(hi);
+    Matrix* gs = tape->ParentGrad(si);
+    Matrix* gd = tape->ParentGrad(di);
     const std::vector<int>& col_idx = pattern->col_idx();
     const int n = hv.rows(), d = hv.cols();
     std::vector<float> dalpha(col_idx.size());
@@ -351,18 +374,20 @@ Var Tape::GatAggregate(std::shared_ptr<const CsrMatrix> pattern, Var h,
       for (int i = 0; i < n; ++i) {
         const int64_t begin = row_ptr[i], end = row_ptr[i + 1];
         const float* gi = g.row(i);
-        // d out_i / d h_j = alpha_ij; d out_i / d alpha_ij = h_j. The fused
-        // dual loop stays a serial scalar kernel: the double-precision dot
-        // is an order-sensitive reduction.
+        // d out_i / d h_j = alpha_ij; d out_i / d alpha_ij = h_j. Both
+        // loops stay serial scalar kernels: the double-precision dot is an
+        // order-sensitive reduction.
         double weighted = 0.0;  // sum_k alpha_ik * dalpha_ik (softmax term).
         for (int64_t e = begin; e < end; ++e) {
           const size_t se = static_cast<size_t>(e);
           const int j = col_idx[se];
           const float* hj = hv.row(j);
-          float* ghj = gh.row(j);
+          if (gh != nullptr) {
+            float* ghj = gh->row(j);
+            for (int c = 0; c < d; ++c) ghj[c] += alpha[se] * gi[c];
+          }
           double dot = 0.0;
           for (int c = 0; c < d; ++c) {
-            ghj[c] += alpha[se] * gi[c];
             dot += static_cast<double>(gi[c]) * hj[c];
           }
           dalpha[se] = static_cast<float>(dot);
@@ -373,40 +398,48 @@ Var Tape::GatAggregate(std::shared_ptr<const CsrMatrix> pattern, Var h,
           // Softmax backward, then the LeakyReLU slope.
           float de = alpha[se] * (dalpha[se] - static_cast<float>(weighted));
           if (raw[se] <= 0.0f) de *= leaky_slope;
-          gs(i, 0) += de;
-          gd(col_idx[se], 0) += de;
+          if (gs != nullptr) (*gs)(i, 0) += de;
+          if (gd != nullptr) (*gd)(col_idx[se], 0) += de;
         }
       }
     });
-  };
+  });
   return out;
 }
 
 Var Tape::RowDots(Var a, Var b) {
   SKIPNODE_CHECK(a.tape_ == this && b.tape_ == this);
-  Var out = Emplace(skipnode::RowDots(a.value(), b.value()));
+  Var out =
+      Emplace(skipnode::RowDots(a.value(), b.value()), AnyNeedsGrad({a, b}));
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_, bi = b.index_;
-  node(oi).backward = [tape, oi, ai, bi]() {
+  SetBackward(out, [tape, oi, ai, bi]() {
     const Matrix& g = tape->node(oi).grad;  // N x 1
     const Matrix& av = tape->node(ai).value;
     const Matrix& bv = tape->node(bi).value;
-    Matrix& ga = tape->EnsureGrad(ai);
-    Matrix& gb = tape->EnsureGrad(bi);
+    Matrix* ga = tape->ParentGrad(ai);
+    Matrix* gb = tape->ParentGrad(bi);
     const bool vec = simd::Enabled();
     for (int r = 0; r < av.rows(); ++r) {
       const float gr = g(r, 0);
       const float* ar = av.row(r);
       const float* br = bv.row(r);
-      if (vec) {
-        simd::Axpy(gr, br, ga.row(r), av.cols());
-        simd::Axpy(gr, ar, gb.row(r), av.cols());
-      } else {
-        simd::AxpyRef(gr, br, ga.row(r), av.cols());
-        simd::AxpyRef(gr, ar, gb.row(r), av.cols());
+      if (ga != nullptr) {
+        if (vec) {
+          simd::Axpy(gr, br, ga->row(r), av.cols());
+        } else {
+          simd::AxpyRef(gr, br, ga->row(r), av.cols());
+        }
+      }
+      if (gb != nullptr) {
+        if (vec) {
+          simd::Axpy(gr, ar, gb->row(r), av.cols());
+        } else {
+          simd::AxpyRef(gr, ar, gb->row(r), av.cols());
+        }
       }
     }
-  };
+  });
   return out;
 }
 
@@ -422,24 +455,26 @@ Var Tape::RowSelect(const std::vector<uint8_t>& skip_mask, Var skipped,
       std::copy(sv.row(r), sv.row(r) + sv.cols(), value.row(r));
     }
   }
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), AnyNeedsGrad({skipped, convolved}));
   Tape* tape = this;
   const int oi = out.index_, si = skipped.index_, ci = convolved.index_;
-  node(oi).backward = [tape, oi, si, ci, mask = skip_mask]() {
+  SetBackward(out, [tape, oi, si, ci, mask = skip_mask]() {
     const Matrix& g = tape->node(oi).grad;
-    Matrix& gs = tape->EnsureGrad(si);
-    Matrix& gc = tape->EnsureGrad(ci);
+    Matrix* gs = tape->ParentGrad(si);
+    Matrix* gc = tape->ParentGrad(ci);
     const bool vec = simd::Enabled();
     for (int r = 0; r < g.rows(); ++r) {
+      Matrix* gt = mask[r] ? gs : gc;
+      if (gt == nullptr) continue;
       const float* gr = g.row(r);
-      float* dst = mask[r] ? gs.row(r) : gc.row(r);
+      float* dst = gt->row(r);
       if (vec) {
         simd::Accumulate(gr, dst, g.cols());
       } else {
         simd::AccumulateRef(gr, dst, g.cols());
       }
     }
-  };
+  });
   return out;
 }
 
@@ -458,11 +493,11 @@ Var Tape::PairNorm(Var x, float scale, float epsilon) {
       simd::ScaleInPlaceRef(value.row(r), inv, value.cols());
     }
   }
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), AnyNeedsGrad({x}));
   Tape* tape = this;
   const int oi = out.index_, xi = x.index_;
-  node(oi).backward = [tape, oi, xi, centered = std::move(centered),
-                       norms = std::move(norms), scale, epsilon]() {
+  SetBackward(out, [tape, oi, xi, centered = std::move(centered),
+                    norms = std::move(norms), scale, epsilon]() {
     const Matrix& g = tape->node(oi).grad;
     const int n = g.rows(), d = g.cols();
     // d/dc of out = s*c/r:  dc = s/r * (g - c * (c.g)/r^2).
@@ -483,7 +518,7 @@ Var Tape::PairNorm(Var x, float scale, float epsilon) {
     // Centering backward: dx = dc - column_mean(dc).
     Matrix dx = SubtractRowVector(dc, ColumnMeans(dc));
     AddScaled(dx, 1.0f, tape->EnsureGrad(xi));
-  };
+  });
   return out;
 }
 
@@ -517,12 +552,12 @@ Var Tape::SoftmaxCrossEntropy(Var logits, const std::vector<int>& labels,
   }
   Matrix value(1, 1);
   value(0, 0) = static_cast<float>(loss / static_cast<double>(nodes.size()));
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), AnyNeedsGrad({logits}));
 
   Tape* tape = this;
   const int oi = out.index_, li = logits.index_;
-  node(oi).backward = [tape, oi, li, probs = std::move(probs),
-                       nodes = nodes, labels = labels]() mutable {
+  SetBackward(out, [tape, oi, li, probs = std::move(probs), nodes = nodes,
+                    labels = labels]() mutable {
     const float g = tape->node(oi).grad(0, 0);
     const float inv_batch = 1.0f / static_cast<float>(nodes.size());
     // coef * (pr[c] - indicator) with coef = g * inv_batch, restructured as
@@ -543,7 +578,7 @@ Var Tape::SoftmaxCrossEntropy(Var logits, const std::vector<int>& labels,
         simd::AxpyRef(coef, pr, gl.row(node_id), gl.cols());
       }
     }
-  };
+  });
   return out;
 }
 
@@ -560,10 +595,10 @@ Var Tape::BceWithLogits(Var logits, const std::vector<float>& targets) {
   }
   Matrix value(1, 1);
   value(0, 0) = static_cast<float>(loss / z.rows());
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), AnyNeedsGrad({logits}));
   Tape* tape = this;
   const int oi = out.index_, li = logits.index_;
-  node(oi).backward = [tape, oi, li, targets = targets]() {
+  SetBackward(out, [tape, oi, li, targets = targets]() {
     const float g = tape->node(oi).grad(0, 0);
     const Matrix& z = tape->node(li).value;
     Matrix& gl = tape->EnsureGrad(li);
@@ -572,7 +607,7 @@ Var Tape::BceWithLogits(Var logits, const std::vector<float>& targets) {
       const float sigmoid = 1.0f / (1.0f + std::exp(-z(r, 0)));
       gl(r, 0) += g * inv_n * (sigmoid - targets[r]);
     }
-  };
+  });
   return out;
 }
 
@@ -582,15 +617,15 @@ Var Tape::MseLoss(Var a, Var b) {
   const Matrix diff = skipnode::Sub(a.value(), b.value());
   Matrix value(1, 1);
   value(0, 0) = diff.SquaredNorm() / static_cast<float>(diff.size());
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), AnyNeedsGrad({a, b}));
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_, bi = b.index_;
-  node(oi).backward = [tape, oi, ai, bi, diff = std::move(diff)]() {
+  SetBackward(out, [tape, oi, ai, bi, diff = std::move(diff)]() {
     const float g = tape->node(oi).grad(0, 0);
     const float factor = 2.0f * g / static_cast<float>(diff.size());
-    AddScaled(diff, factor, tape->EnsureGrad(ai));
-    AddScaled(diff, -factor, tape->EnsureGrad(bi));
-  };
+    if (Matrix* ga = tape->ParentGrad(ai)) AddScaled(diff, factor, *ga);
+    if (Matrix* gb = tape->ParentGrad(bi)) AddScaled(diff, -factor, *gb);
+  });
   return out;
 }
 

@@ -30,15 +30,34 @@ const Matrix& Var::value() const {
 const Matrix& Var::grad() const {
   SKIPNODE_CHECK(tape_ != nullptr);
   // Lazily materialise a zero gradient for nodes the backward pass never
-  // reached so callers can treat grad() uniformly.
+  // reached (grad-free nodes included) so callers can treat grad()
+  // uniformly.
   return tape_->EnsureGrad(index_);
 }
 
-Var Tape::Emplace(Matrix value) {
+bool Var::needs_grad() const {
+  SKIPNODE_CHECK(tape_ != nullptr);
+  return tape_->node(index_).needs_grad;
+}
+
+Var Tape::Emplace(Matrix value, bool needs_grad) {
   auto node = std::make_unique<Node>();
   node->value = std::move(value);
+  node->needs_grad = needs_grad;
   nodes_.push_back(std::move(node));
   return Var(this, static_cast<int>(nodes_.size()) - 1);
+}
+
+bool Tape::AnyNeedsGrad(std::initializer_list<Var> inputs) {
+  for (const Var& v : inputs) {
+    if (v.needs_grad()) return true;
+  }
+  return false;
+}
+
+void Tape::SetBackward(Var out, std::function<void()> backward) {
+  Node& n = node(out.index_);
+  if (n.needs_grad) n.backward = std::move(backward);
 }
 
 Matrix& Tape::EnsureGrad(int index) {
@@ -50,31 +69,36 @@ Matrix& Tape::EnsureGrad(int index) {
   return n.grad;
 }
 
+Matrix* Tape::ParentGrad(int index) {
+  return node(index).needs_grad ? &EnsureGrad(index) : nullptr;
+}
+
 Matrix Tape::AcquireOutput(int rows, int cols) {
   return GlobalMatrixPool().Acquire(rows, cols);
 }
 
 Var Tape::Leaf(Parameter& parameter) {
-  Var v = Emplace(parameter.value);
-  Node& n = node(v.index_);
+  Var v = Emplace(parameter.value, /*needs_grad=*/true);
   Parameter* param = &parameter;
   Tape* tape = this;
   const int index = v.index_;
-  n.backward = [tape, param, index]() {
+  SetBackward(v, [tape, param, index]() {
     const Matrix& g = tape->node(index).grad;
     SKIPNODE_CHECK(g.SameShape(param->grad));
     AddScaled(g, 1.0f, param->grad);
-  };
+  });
   return v;
 }
 
 Var Tape::Constant(const Matrix& value) {
   Matrix copy = AcquireOutput(value.rows(), value.cols());
   std::copy_n(value.data(), value.size(), copy.data());
-  return Emplace(std::move(copy));
+  return Emplace(std::move(copy), /*needs_grad=*/false);
 }
 
-Var Tape::Constant(Matrix&& value) { return Emplace(std::move(value)); }
+Var Tape::Constant(Matrix&& value) {
+  return Emplace(std::move(value), /*needs_grad=*/false);
+}
 
 Matrix& Tape::MutableValue(Var v) {
   SKIPNODE_CHECK(v.tape_ == this);

@@ -18,11 +18,21 @@
 // All ops check shapes; sparse multiplication takes the adjacency by
 // shared_ptr so per-epoch sampled adjacencies (DropEdge) stay alive for the
 // backward pass.
+//
+// Gradient pruning: every node carries a `needs_grad` bit decided when it is
+// recorded — true for Leaf, false for Constant, and the OR of its inputs for
+// every other op. A node with no Leaf ancestor records no backward closure,
+// and backward closures skip the gradient of any grad-free parent. So the
+// first layer's MatMul never computes the N x F gradient of the constant
+// input features. Nothing that feeds a Parameter changes, so pruning is
+// bitwise invisible in trained weights. Var::grad() on a grad-free node is a
+// zero matrix of the node's shape.
 
 #ifndef SKIPNODE_AUTOGRAD_TAPE_H_
 #define SKIPNODE_AUTOGRAD_TAPE_H_
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,8 +66,13 @@ class Var {
   Var() : tape_(nullptr), index_(-1) {}
 
   const Matrix& value() const;
-  // Gradient of the last Backward() w.r.t. this node (zeros if unused).
+  // Gradient of the last Backward() w.r.t. this node. Zeros if the backward
+  // pass never reached it, which includes every grad-free node (see the
+  // file comment): constants and anything computed only from constants.
   const Matrix& grad() const;
+  // Whether a gradient flowing into this node can reach a Parameter (see
+  // the file comment). Grad-free nodes are never differentiated.
+  bool needs_grad() const;
   int rows() const { return value().rows(); }
   int cols() const { return value().cols(); }
   bool valid() const { return tape_ != nullptr; }
@@ -91,7 +106,8 @@ class Tape {
   // Leaf node bound to a trainable parameter; Backward() accumulates into
   // `parameter.grad`. The parameter must outlive the tape.
   Var Leaf(Parameter& parameter);
-  // Leaf with no gradient (inputs, labels-as-features, etc.). The copying
+  // Leaf with no gradient (inputs, labels-as-features, etc.): grad-free, so
+  // ops over constants only record no backward closure. The copying
   // overload stages the copy in a pool-acquired buffer so repeated steps
   // recycle it instead of re-allocating feature-sized matrices each epoch.
   Var Constant(const Matrix& value);
@@ -121,7 +137,8 @@ class Tape {
   Var Axpby(Var a, Var b, float alpha, float beta);
   Var Scale(Var a, float s);
   Var Relu(Var a);
-  // Inverted dropout; identity when `training` is false.
+  // Inverted dropout; identity when `training` is false. The mask is drawn
+  // even for a grad-free input, so the Rng stream never depends on pruning.
   Var Dropout(Var a, float rate, bool training, Rng& rng);
   // Horizontal concatenation (JKNet).
   Var ConcatCols(const std::vector<Var>& parts);
@@ -195,25 +212,35 @@ class Tape {
     Matrix value;
     Matrix grad;        // Allocated lazily by EnsureGrad().
     bool grad_ready = false;
-    // Propagates this node's grad into its parents' grads (and Parameter
-    // grads for leaves). Null for constants.
+    // Whether any Leaf is an ancestor, i.e. whether a gradient flowing into
+    // this node can reach a Parameter. Fixed at record time.
+    bool needs_grad = false;
+    // Propagates this node's grad into the grads of its parents that need
+    // one (and into the Parameter grad for leaves). Null for grad-free
+    // nodes.
     std::function<void()> backward;
   };
 
   Node& node(int index) { return *nodes_[index]; }
   const Node& node(int index) const { return *nodes_[index]; }
-  Var Emplace(Matrix value);
+  Var Emplace(Matrix value, bool needs_grad);
+  // Whether an op over `inputs` needs a gradient: the OR of theirs.
+  static bool AnyNeedsGrad(std::initializer_list<Var> inputs);
+  // Installs `backward` on `out` unless `out` is grad-free, in which case
+  // the closure is dropped and Backward() treats the node as a constant.
+  void SetBackward(Var out, std::function<void()> backward);
   // Ensures `grad` is allocated (zeroed) and returns it.
   Matrix& EnsureGrad(int index);
+  // The grad a backward closure accumulates into for parent `index`: the
+  // lazily allocated buffer, or null when the parent is grad-free and its
+  // gradient would never be read.
+  Matrix* ParentGrad(int index);
   // Zeroed rows x cols output buffer, drawn from the workspace pool.
   Matrix AcquireOutput(int rows, int cols);
 
   std::vector<std::unique_ptr<Node>> nodes_;
   bool backward_done_ = false;
   bool fast_math_ = false;
-  // Storage keeping constant-shaped zero grads alive for Var::grad() calls
-  // on untouched nodes.
-  Matrix empty_grad_;
 };
 
 }  // namespace skipnode

@@ -21,8 +21,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -30,23 +28,6 @@ Rng::Rng(uint64_t seed) {
   // guarantees a non-zero state for any seed.
   uint64_t s = seed;
   for (uint64_t& word : state_) word = SplitMix64(s);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::Uniform() {
-  // 53 random mantissa bits -> uniform double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 float Rng::UniformFloat(float lo, float hi) {
@@ -70,8 +51,6 @@ double Rng::Normal() {
   return std::sqrt(-2.0 * std::log(u1)) *
          std::cos(2.0 * std::numbers::pi * u2);
 }
-
-bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
 std::vector<int> Rng::SampleWithoutReplacement(int n, int k) {
   SKIPNODE_CHECK(k >= 0 && k <= n);

@@ -9,6 +9,7 @@
 #ifndef SKIPNODE_BASE_RNG_H_
 #define SKIPNODE_BASE_RNG_H_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -19,6 +20,10 @@ namespace skipnode {
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x5eed'0001ULL);
+
+  // Next, Uniform and Bernoulli are defined inline below: Dropout draws one
+  // Bernoulli per activation, and an out-of-line call per draw costs more
+  // than the generator itself.
 
   // Returns the next raw 64-bit value.
   uint64_t Next();
@@ -35,7 +40,7 @@ class Rng {
   // Standard normal via Box-Muller.
   double Normal();
 
-  // Bernoulli(p).
+  // Bernoulli(p): Uniform() < p.
   bool Bernoulli(double p);
 
   // Returns `k` distinct indices sampled uniformly from [0, n) without
@@ -54,6 +59,25 @@ class Rng {
  private:
   uint64_t state_[4];
 };
+
+inline uint64_t Rng::Next() {
+  const uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+  const uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = std::rotl(state_[3], 45);
+  return result;
+}
+
+inline double Rng::Uniform() {
+  // 53 random mantissa bits -> uniform double in [0, 1).
+  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+}
+
+inline bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
 }  // namespace skipnode
 

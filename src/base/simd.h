@@ -95,6 +95,7 @@ struct AdamConstants {
 void AdamStepRef(float* value, const float* grad, float* m, float* v,
                  int64_t n, const AdamConstants& k);
 float DotFastRef(const float* a, const float* b, int64_t n);
+void AxpyDoubleRef(double a, const double* x, double* acc, int64_t n);
 
 // --- Vectorized kernels ----------------------------------------------------
 // Each is the Ref loop stripmined into kLanes independent lanes — same
@@ -244,6 +245,19 @@ inline void AdamStep(float* value, const float* grad, float* m, float* v,
       value[i] -= k.lr_weight_decay * value[i];
     }
   }
+}
+
+// Double-precision strip update acc[l] += a * x[l]: one step of the exact
+// transpose-B Gemm (tensor/ops.cc), whose output elements each keep their
+// own double accumulator. Lanes are distinct output elements, so this is as
+// order-preserving as Axpy.
+inline void AxpyDouble(double a, const double* __restrict x,
+                       double* __restrict acc, int64_t n) {
+  int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (int l = 0; l < kLanes; ++l) acc[i + l] += a * x[i + l];
+  }
+  for (; i < n; ++i) acc[i] += a * x[i];
 }
 
 // Reassociated dot: kLanes independent partial sums accumulated in lane

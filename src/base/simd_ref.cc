@@ -79,6 +79,10 @@ void AdamStepRef(float* value, const float* grad, float* m, float* v,
   }
 }
 
+void AxpyDoubleRef(double a, const double* x, double* acc, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) acc[i] += a * x[i];
+}
+
 float DotFastRef(const float* a, const float* b, int64_t n) {
   // Same lane-then-tree accumulation order as DotFast (that is the point:
   // the fast_math sum is a deterministic function of n, not of the compile

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "base/parallel.h"
 #include "base/simd.h"
@@ -31,6 +32,10 @@ int64_t MinRowsPerThread(int64_t flops_per_row) {
 // element the p-accumulation order is unchanged, so results stay bitwise
 // identical to the unblocked kernel (and across block widths).
 constexpr int kGemmColumnBlock = 256;
+
+// Output columns per double-accumulator strip of the exact A * B^T kernel:
+// 1 KB of stack per worker, so workers allocate nothing.
+constexpr int kGemmStrip = 128;
 
 }  // namespace
 
@@ -119,11 +124,52 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
           }
         },
         min_rows);
+  } else if (!options.fast_math) {
+    // Exact A * B^T: out[i][p] += float(sum over ascending j of
+    // double(a[i][j]) * b[p][j]), the sum starting from 0.0. Computed i-j-p:
+    // B is widened once, on this thread, into a k x n double panel
+    // (panel[j][p] = b[p][j]) that the workers only read, and each row walks
+    // its outputs in kGemmStrip-wide stack strips of double accumulators
+    // that every j updates with one AxpyDouble. A float x float product is
+    // exact in double and every element sees the same adds in the same
+    // order, so the result is bitwise the serial per-element dot's, while
+    // the strip vectorizes over p. Zero a[i][j] is not skipped: 0 * inf
+    // must still turn the sum into NaN.
+    std::vector<double> panel(static_cast<size_t>(k) * n);
+    for (int p = 0; p < n; ++p) {
+      const float* bp = b.row(p);
+      for (int j = 0; j < k; ++j) panel[static_cast<size_t>(j) * n + p] = bp[j];
+    }
+    ParallelFor(
+        0, m,
+        [&](int64_t row_begin, int64_t row_end) {
+          double acc[kGemmStrip] = {};
+          for (int i = static_cast<int>(row_begin); i < row_end; ++i) {
+            const float* __restrict ai = a.row(i);
+            float* __restrict oi = out.row(i);
+            if (!accumulate) std::fill(oi, oi + n, 0.0f);
+            for (int pb = 0; pb < n; pb += kGemmStrip) {
+              const int width = std::min(kGemmStrip, n - pb);
+              std::fill(acc, acc + width, 0.0);
+              for (int j = 0; j < k; ++j) {
+                const double* panel_j =
+                    panel.data() + static_cast<size_t>(j) * n + pb;
+                if (vec) {
+                  simd::AxpyDouble(ai[j], panel_j, acc, width);
+                } else {
+                  simd::AxpyDoubleRef(ai[j], panel_j, acc, width);
+                }
+              }
+              for (int p = 0; p < width; ++p) {
+                oi[pb + p] += static_cast<float>(acc[p]);
+              }
+            }
+          }
+        },
+        min_rows);
   } else {
-    // Row-by-row dot products. The exact path keeps the serial kernel's
-    // double accumulator; fast_math opts into the reassociated
-    // lane-accumulator dot (deterministic, but not bitwise equal to exact).
-    const bool fast = options.fast_math;
+    // fast_math A * B^T: the reassociated lane-accumulator dot per output
+    // (deterministic, but not bitwise equal to the exact path).
     ParallelFor(
         0, m,
         [&](int64_t row_begin, int64_t row_end) {
@@ -131,21 +177,10 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
             const float* __restrict ai = a.row(i);
             float* __restrict oi = out.row(i);
             if (!accumulate) std::fill(oi, oi + n, 0.0f);
-            if (fast) {
-              for (int p = 0; p < n; ++p) {
-                const float* __restrict bp = b.row(p);
-                oi[p] += vec ? simd::DotFast(ai, bp, k)
-                             : simd::DotFastRef(ai, bp, k);
-              }
-            } else {
-              for (int p = 0; p < n; ++p) {
-                const float* __restrict bp = b.row(p);
-                double dot = 0.0;
-                for (int j = 0; j < k; ++j) {
-                  dot += static_cast<double>(ai[j]) * bp[j];
-                }
-                oi[p] += static_cast<float>(dot);
-              }
+            for (int p = 0; p < n; ++p) {
+              const float* __restrict bp = b.row(p);
+              oi[p] += vec ? simd::DotFast(ai, bp, k)
+                           : simd::DotFastRef(ai, bp, k);
             }
           }
         },

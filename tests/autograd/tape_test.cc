@@ -4,9 +4,12 @@
 #include "autograd/tape.h"
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include <gtest/gtest.h>
 
+#include "base/telemetry.h"
 #include "tensor/ops.h"
 #include "testing/coo_matrix.h"
 
@@ -171,6 +174,102 @@ TEST(TapeTest, LinearCombinationValue) {
   Var b = tape.Constant(Matrix(1, 1, {8.0f}));
   Var out = tape.LinearCombination({a, b}, tape.Leaf(coeff));
   EXPECT_NEAR(out.value()(0, 0), 7.0f, 1e-6f);
+}
+
+// --- Gradient pruning (tape.h: needs_grad) ----------------------------------
+
+// loss = mse(Dropout(input) * w, target) with the input recorded either as a
+// Constant (pruned: no gradient for it) or as a Leaf (unpruned). Returns
+// w.grad; the Dropout mask comes from the same seed either way.
+Matrix FirstLayerWeightGrad(bool input_is_leaf, Parameter& input,
+                            Parameter& w, const Matrix& target) {
+  Rng rng(21);
+  w.ZeroGrad();
+  input.ZeroGrad();
+  Tape tape;
+  Var x = input_is_leaf ? tape.Leaf(input) : tape.Constant(input.value);
+  Var h = tape.MatMul(tape.Dropout(x, 0.5f, /*training=*/true, rng),
+                      tape.Leaf(w));
+  tape.Backward(tape.MseLoss(h, tape.Constant(target)));
+  return w.grad;
+}
+
+class TapePruningTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    SetTelemetryEnabled(true);
+    ResetTelemetry();
+  }
+  void TearDown() override {
+    ResetTelemetry();
+    SetTelemetryEnabled(false);
+  }
+  static int64_t Calls(const char* name) {
+    const TelemetrySnapshot snapshot = SnapshotTelemetry();
+    const MetricStat* stat = snapshot.Find(name);
+    return stat == nullptr ? 0 : stat->count;
+  }
+};
+
+TEST_F(TapePruningTest, ConstantInputGivesBitwiseSameWeightGrad) {
+  Rng rng(20);
+  Parameter input("x", Matrix::Random(40, 30, rng));
+  Parameter w("w", Matrix::Random(30, 8, rng));
+  const Matrix target = Matrix::Random(40, 8, rng);
+  const Matrix unpruned = FirstLayerWeightGrad(true, input, w, target);
+  ASSERT_EQ(Calls("tensor.gemm_tb"), 1);  // dX = g * W^T, for the Leaf.
+  ResetTelemetry();
+  const Matrix pruned = FirstLayerWeightGrad(false, input, w, target);
+  EXPECT_EQ(Calls("tensor.gemm_tb"), 0);
+  EXPECT_EQ(Calls("tensor.gemm_ta"), 1);  // dW = X^T * g still runs.
+  ASSERT_TRUE(pruned.SameShape(unpruned));
+  EXPECT_EQ(std::memcmp(pruned.data(), unpruned.data(),
+                        sizeof(float) * static_cast<size_t>(pruned.size())),
+            0);
+}
+
+TEST_F(TapePruningTest, ConstantGradIsZeroMatrixOfItsShape) {
+  Rng rng(22);
+  Parameter w("w", Matrix::Random(6, 3, rng));
+  Tape tape;
+  Var x = tape.Constant(Matrix::Random(5, 6, rng));
+  Var loss = tape.MseLoss(tape.MatMul(x, tape.Leaf(w)),
+                          tape.Constant(Matrix(5, 3)));
+  EXPECT_FALSE(x.needs_grad());
+  EXPECT_TRUE(loss.needs_grad());
+  tape.Backward(loss);
+  const Matrix& g = x.grad();
+  ASSERT_EQ(g.rows(), 5);
+  ASSERT_EQ(g.cols(), 6);
+  for (int64_t i = 0; i < g.size(); ++i) EXPECT_EQ(g.data()[i], 0.0f);
+}
+
+TEST_F(TapePruningTest, AllConstantSubgraphRecordsNoBackward) {
+  Rng rng(23);
+  auto ring = std::make_shared<CsrMatrix>(testing::CsrFromCoo(
+      4, 4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}, {0.5f, 0.5f, 0.5f, 0.5f}));
+  Parameter w("w", Matrix::Random(3, 2, rng));
+  const Matrix features = Matrix::Random(4, 3, rng);
+  for (const bool features_are_leaf : {false, true}) {
+    ResetTelemetry();
+    Parameter input("x", features);
+    Tape tape;
+    Var x = features_are_leaf ? tape.Leaf(input) : tape.Constant(features);
+    // Propagation, dropout and activation over the inputs alone: constant
+    // unless the inputs are a Leaf.
+    Var h = tape.Relu(
+        tape.SpMM(ring, tape.Dropout(x, 0.5f, /*training=*/true, rng)));
+    EXPECT_EQ(h.needs_grad(), features_are_leaf);
+    // A recorded SpMM backward closure holds its own reference to the
+    // adjacency; an unrecorded one leaves the test's the only one.
+    EXPECT_EQ(ring.use_count(), features_are_leaf ? 2 : 1);
+    Var loss = tape.MseLoss(tape.MatMul(h, tape.Leaf(w)),
+                            tape.Constant(Matrix(4, 2)));
+    tape.Backward(loss);
+    // The sparse backward hop runs only when something upstream needs it.
+    EXPECT_EQ(Calls("autograd.spmm_backward"), features_are_leaf ? 1 : 0);
+    EXPECT_EQ(Calls("tensor.relu_backward"), features_are_leaf ? 1 : 0);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -143,6 +144,28 @@ TEST(RngTest, ShufflePreservesElements) {
   rng.Shuffle(shuffled);
   std::sort(shuffled.begin(), shuffled.end());
   EXPECT_EQ(shuffled, values);
+}
+
+// Absolute anchors: the raw xoshiro256** stream and the Bernoulli draws
+// Dropout masks are built from. Every other Rng test is relative (same seed
+// twice, statistics); these catch a stream that changes consistently.
+TEST(RngTest, FirstDrawsMatchPinnedValues) {
+  Rng rng(42);
+  const uint64_t expected[8] = {
+      0x15780b2e0c2ec716ULL, 0x6104d9866d113a7eULL, 0xae17533239e499a1ULL,
+      0xecb8ad4703b360a1ULL, 0xfde6dc7fe2ec5e64ULL, 0xc50da53101795238ULL,
+      0xb82154855a65ddb2ULL, 0xd99a2743ebe60087ULL};
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(rng.Next(), expected[i]) << i;
+}
+
+TEST(RngTest, BernoulliDrawsMatchPinnedHash) {
+  Rng rng(42);
+  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a over one byte per draw.
+  for (int i = 0; i < 4096; ++i) {
+    hash ^= rng.Bernoulli(0.5) ? 1u : 0u;
+    hash *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(hash, 0x8bf9f9ad75ce150bULL);
 }
 
 }  // namespace

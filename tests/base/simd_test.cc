@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -50,6 +51,30 @@ TEST(SimdTest, AxpyMatchesRefBitwise) {
     Axpy(0.37f, x.data(), out_vec.data(), n);
     AxpyRef(0.37f, x.data(), out_ref.data(), n);
     EXPECT_BITWISE_EQ(out_vec, out_ref, n);
+  }
+}
+
+TEST(SimdTest, AxpyDoubleMatchesRefBitwise) {
+  Rng rng(11);
+  for (const int64_t n : kSizes) {
+    // Float-valued operands, as the exact A * B^T Gemm feeds it, with an
+    // inf, a -0.0 and a float subnormal mixed in.
+    std::vector<double> x(static_cast<size_t>(n));
+    std::vector<double> acc_vec(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      x[i] = rng.UniformFloat(-2.0f, 2.0f);
+      acc_vec[i] = rng.UniformFloat(-2.0f, 2.0f);
+    }
+    x[0] = -0.0;
+    if (n > 2) x[n / 2] = 1.4e-45f;
+    if (n > 1) x[n - 1] = std::numeric_limits<double>::infinity();
+    std::vector<double> acc_ref = acc_vec;
+    AxpyDouble(-0.61f, x.data(), acc_vec.data(), n);
+    AxpyDoubleRef(-0.61f, x.data(), acc_ref.data(), n);
+    ASSERT_EQ(std::memcmp(acc_vec.data(), acc_ref.data(),
+                          sizeof(double) * static_cast<size_t>(n)),
+              0)
+        << "n=" << n;
   }
 }
 

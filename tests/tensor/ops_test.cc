@@ -403,16 +403,21 @@ TEST(OpsTest, VectorizedKernelsMatchScalarReferenceBitwise) {
   const Matrix x = Matrix::Random(m, n, rng);
   const Matrix y = Matrix::Random(m, n, rng);
   const Matrix v = Matrix::Random(1, n, rng);
+  // Wider than one accumulator strip of the exact A * B^T kernel.
+  const int wide = 300;
+  const Matrix wide_bt = Matrix::Random(wide, k, rng);
 
   auto run_all = [&]() {
     std::vector<Matrix> outs;
-    Matrix nn(m, n), tn(m, n), tb(m, n);
+    Matrix nn(m, n), tn(m, n), tb(m, n), tb_wide(m, wide);
     Gemm(a, b, nn);
     Gemm(at, b, tn, {.transpose_a = true});
     Gemm(a, bt, tb, {.transpose_b = true});
+    Gemm(a, wide_bt, tb_wide, {.transpose_b = true});
     outs.push_back(std::move(nn));
     outs.push_back(std::move(tn));
     outs.push_back(std::move(tb));
+    outs.push_back(std::move(tb_wide));
     outs.push_back(Add(x, y));
     outs.push_back(Sub(x, y));
     outs.push_back(Hadamard(x, y));
@@ -443,6 +448,97 @@ TEST(OpsTest, VectorizedKernelsMatchScalarReferenceBitwise) {
                                   static_cast<size_t>(got[i].size())),
                   0)
             << "kernel " << i << " simd=" << vec << " threads=" << threads;
+      }
+    }
+  }
+  SetParallelThreadCount(0);
+  simd::SetEnabled(saved);
+}
+
+// The exact A * B^T path against the serial per-element double dot it
+// replaced, bit for bit: shapes on both sides of the 128-wide accumulator
+// strip, NaN / inf / -0.0 / subnormal inputs (including a zero times an
+// inf, which must stay NaN), accumulate on and off, the runtime switch on
+// and off, and 1/4/8 threads. A NaN output must be NaN, but its sign and
+// payload are not pinned: when two NaNs meet, x86 returns the first
+// operand's and the compiler may commute an add (DESIGN §14), which the
+// Axpy / AxpyRef pair already shows.
+TEST(OpsTest, ExactTransposeBGemmMatchesSerialDoubleDotBitwise) {
+  const bool saved = simd::Enabled();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -3.0e-39f};
+  Rng rng(29);
+  const int m = 40;
+  for (const int n : {1, 7, 127, 128, 129, 300}) {
+    for (const int k : {1, 17, 64}) {
+      Matrix a = Matrix::Random(m, k, rng);
+      Matrix b = Matrix::Random(n, k, rng);  // Used transposed: m x n out.
+      const Matrix init = Matrix::Random(m, n, rng);
+      // Sprinkle each special into a few rows of each operand; rows left
+      // clean keep finite outputs to compare too.
+      for (const float special : specials) {
+        a(static_cast<int>(rng.UniformInt(m)),
+          static_cast<int>(rng.UniformInt(k))) = special;
+        b(static_cast<int>(rng.UniformInt(n)),
+          static_cast<int>(rng.UniformInt(k))) = special;
+      }
+      a(0, 0) = 0.0f;
+      b(0, 0) = std::numeric_limits<float>::infinity();
+      if (n >= 2 && k >= 3) {
+        // Output (1, 1) cancels catastrophically: summed in ascending j it
+        // is 1 + (the tail), in any other order it loses the 1 or the
+        // tail, so the pin also fixes the summation order.
+        for (int j = 0; j < k; ++j) {
+          a(1, j) = 1.0f;
+          b(1, j) = 0.25f;
+        }
+        b(1, 0) = 1e20f;
+        b(1, 1) = -1e20f;
+        b(1, 2) = 1.0f;
+      }
+      for (const bool accumulate : {false, true}) {
+        Matrix expected(m, n);
+        for (int i = 0; i < m; ++i) {
+          for (int p = 0; p < n; ++p) {
+            double dot = 0.0;
+            for (int j = 0; j < k; ++j) {
+              dot += static_cast<double>(a(i, j)) * b(p, j);
+            }
+            expected(i, p) =
+                (accumulate ? init(i, p) : 0.0f) + static_cast<float>(dot);
+          }
+        }
+        ASSERT_TRUE(std::isnan(expected(0, 0)));
+        if (n >= 2 && k >= 3) {
+          ASSERT_EQ(expected(1, 1), (accumulate ? init(1, 1) : 0.0f) +
+                                        (1.0f + 0.25f * (k - 3)));
+        }
+        for (const bool vec : {false, true}) {
+          simd::SetEnabled(vec);
+          for (const int threads : {1, 4, 8}) {
+            SetParallelThreadCount(threads);
+            Matrix got = accumulate ? init : Matrix::Ones(m, n);
+            Gemm(a, b, got,
+                 {.transpose_b = true, .accumulate = accumulate});
+            for (int64_t e = 0; e < got.size(); ++e) {
+              const float want = expected.data()[e];
+              const float have = got.data()[e];
+              if (std::isnan(want)) {
+                ASSERT_TRUE(std::isnan(have)) << "element " << e;
+              } else {
+                ASSERT_EQ(std::memcmp(&have, &want, sizeof(float)), 0)
+                    << "element " << e << ": " << have << " vs " << want
+                    << " n=" << n << " k=" << k
+                    << " accumulate=" << accumulate << " simd=" << vec
+                    << " threads=" << threads;
+              }
+            }
+          }
+        }
       }
     }
   }
