@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -224,6 +226,150 @@ TEST(TrainerHealthTest, RecoveryIsBitwiseIdenticalAcrossThreadCounts) {
                    results[1].best_val_accuracy);
   EXPECT_DOUBLE_EQ(results[0].test_accuracy, results[1].test_accuracy);
   EXPECT_EQ(results[0].best_epoch, results[1].best_epoch);
+}
+
+// Sampled epochs (DESIGN §15) run the same guarded step once per minibatch:
+// the loss check fires per batch and names it, and the parameter scan runs
+// once, after the epoch's last step.
+TrainRun SampledRun(int epochs, const FaultPlan& fault) {
+  TrainRun run;
+  run.options.epochs = epochs;
+  run.options.seed = 29;
+  run.health.enabled = true;
+  run.fault = fault;
+  run.sampling.fanouts = {4, 4};
+  run.sampling.batch_size = 24;
+  return run;
+}
+
+TEST(TrainerHealthTest, SampledActivationFaultIsCaughtAtTheBatchLossCheck) {
+  Fixture setup(8);
+  Rng rng(9);
+  auto model = MakeModel("GCN", ConfigFor(setup.graph, 2), rng);
+  FaultPlan fault;
+  fault.enabled = true;
+  fault.site = FaultSite::kActivation;
+  fault.kind = FaultKind::kNaN;
+  fault.epoch = 6;
+  const TrainResult result =
+      TrainNodeClassifier(*model, setup.graph, setup.split,
+                          StrategyConfig::SkipNodeU(0.5f), SampledRun(20, fault));
+  EXPECT_EQ(CountEvents(result.health_log, HealthEventKind::kFaultInjected),
+            1);
+  ASSERT_EQ(CountEvents(result.health_log, HealthEventKind::kNonFiniteLoss),
+            1);
+  EXPECT_EQ(CountEvents(result.health_log, HealthEventKind::kRollback), 1);
+  for (const HealthEvent& event : result.health_log) {
+    EXPECT_EQ(event.epoch, 6);
+    if (event.kind == HealthEventKind::kNonFiniteLoss) {
+      // The one-shot fault strikes the epoch's first minibatch.
+      EXPECT_NE(event.detail.find("(batch 0)"), std::string::npos)
+          << event.detail;
+    }
+  }
+  EXPECT_EQ(result.epochs_run, 20);
+  EXPECT_TRUE(std::isfinite(result.final_train_loss));
+}
+
+// With the whole train split in one minibatch, the update NaN lands on the
+// epoch's last step, so the end-of-epoch parameter scan is what catches it.
+TEST(TrainerHealthTest, SampledUpdateFaultIsCaughtByTheEpochScan) {
+  Fixture setup(9);
+  Rng rng(10);
+  auto model = MakeModel("GCN", ConfigFor(setup.graph, 2), rng);
+  TrainRun run = SampledRun(30, UpdateNaNAt(8));
+  run.sampling.batch_size = static_cast<int>(setup.split.train.size());
+  const TrainResult result = TrainNodeClassifier(
+      *model, setup.graph, setup.split, StrategyConfig::SkipNodeU(0.5f), run);
+  EXPECT_EQ(CountEvents(result.health_log, HealthEventKind::kFaultInjected),
+            1);
+  EXPECT_EQ(
+      CountEvents(result.health_log, HealthEventKind::kNonFiniteParameter),
+      1);
+  EXPECT_EQ(CountEvents(result.health_log, HealthEventKind::kNonFiniteLoss),
+            0);
+  EXPECT_EQ(CountEvents(result.health_log, HealthEventKind::kRollback), 1);
+  for (const HealthEvent& event : result.health_log) {
+    EXPECT_EQ(event.epoch, 8);
+  }
+  EXPECT_EQ(result.rollbacks, 1);
+  // The faulted epoch is never evaluated, yet the run goes on from the
+  // restored snapshot to the last epoch and ends finite.
+  EXPECT_NE(result.best_epoch, 8);
+  EXPECT_EQ(result.epochs_run, 30);
+  EXPECT_TRUE(std::isfinite(result.final_train_loss));
+  for (const Parameter* p : model->Parameters()) {
+    for (int64_t i = 0; i < p->value.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(p->value.data()[i])) << p->name;
+    }
+  }
+}
+
+// With several minibatches per epoch, the update NaN from batch 0 poisons
+// batch 1's loss. One rollback abandons the rest of the epoch: no later
+// batch of it runs, so no second non-finite loss is logged.
+TEST(TrainerHealthTest, SampledUpdateFaultAbandonsTheRestOfTheEpoch) {
+  Fixture setup(9);
+  Rng rng(10);
+  auto model = MakeModel("GCN", ConfigFor(setup.graph, 2), rng);
+  const TrainResult result =
+      TrainNodeClassifier(*model, setup.graph, setup.split,
+                          StrategyConfig::SkipNodeU(0.5f),
+                          SampledRun(30, UpdateNaNAt(8)));
+  EXPECT_EQ(CountEvents(result.health_log, HealthEventKind::kFaultInjected),
+            1);
+  ASSERT_EQ(CountEvents(result.health_log, HealthEventKind::kNonFiniteLoss),
+            1);
+  EXPECT_EQ(CountEvents(result.health_log, HealthEventKind::kRollback), 1);
+  for (const HealthEvent& event : result.health_log) {
+    EXPECT_EQ(event.epoch, 8);
+    if (event.kind == HealthEventKind::kNonFiniteLoss) {
+      EXPECT_NE(event.detail.find("(batch 1)"), std::string::npos)
+          << event.detail;
+    }
+  }
+  EXPECT_NE(result.best_epoch, 8);
+  EXPECT_EQ(result.epochs_run, 30);
+  EXPECT_TRUE(std::isfinite(result.final_train_loss));
+}
+
+TEST(TrainerHealthTest, SampledRecoveryIsBitwiseIdenticalAcrossThreadCounts) {
+  Fixture setup(10);
+  TrainResult results[2];
+  std::vector<Matrix> parameters[2];
+  const int thread_counts[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    SetParallelThreadCount(thread_counts[i]);
+    Rng rng(11);
+    auto model = MakeModel("GCN", ConfigFor(setup.graph, 2), rng);
+    results[i] = TrainNodeClassifier(*model, setup.graph, setup.split,
+                                     StrategyConfig::SkipNodeU(0.5f),
+                                     SampledRun(20, UpdateNaNAt(5)));
+    for (const Parameter* p : model->Parameters()) {
+      parameters[i].push_back(p->value);
+    }
+  }
+  SetParallelThreadCount(0);
+  EXPECT_EQ(results[0].rollbacks, 1);
+  ASSERT_EQ(results[0].health_log.size(), results[1].health_log.size());
+  for (size_t i = 0; i < results[0].health_log.size(); ++i) {
+    EXPECT_EQ(results[0].health_log[i].kind, results[1].health_log[i].kind);
+    EXPECT_EQ(results[0].health_log[i].epoch,
+              results[1].health_log[i].epoch);
+    EXPECT_EQ(results[0].health_log[i].detail,
+              results[1].health_log[i].detail);
+  }
+  EXPECT_EQ(results[0].rollbacks, results[1].rollbacks);
+  EXPECT_DOUBLE_EQ(results[0].final_train_loss, results[1].final_train_loss);
+  EXPECT_DOUBLE_EQ(results[0].test_accuracy, results[1].test_accuracy);
+  EXPECT_EQ(results[0].best_epoch, results[1].best_epoch);
+  ASSERT_EQ(parameters[0].size(), parameters[1].size());
+  for (size_t i = 0; i < parameters[0].size(); ++i) {
+    EXPECT_EQ(std::memcmp(parameters[0][i].data(), parameters[1][i].data(),
+                          sizeof(float) * parameters[0][i].size()),
+              0)
+        << "parameter " << i;
+  }
 }
 
 TEST(TrainerHealthTest, GradClippingCapsTheGlobalNorm) {

@@ -48,7 +48,9 @@ struct RunOutput {
   std::vector<std::vector<char>> parameter_bytes;
 };
 
-RunOutput TrainOnce(const Fixture& setup, bool instrumented, int threads) {
+// `sampled` switches to minibatch neighbor-sampled epochs (DESIGN §15).
+RunOutput TrainOnce(const Fixture& setup, bool instrumented, int threads,
+                    bool sampled = false) {
   SetParallelThreadCount(threads);
   SetTelemetryEnabled(instrumented);
   if (instrumented) ResetTelemetry();
@@ -58,6 +60,10 @@ RunOutput TrainOnce(const Fixture& setup, bool instrumented, int threads) {
   run.options.epochs = 20;
   run.options.seed = 31;
   run.collect_metrics = instrumented;
+  if (sampled) {
+    run.sampling.fanouts = {4, 4, 4, 4};
+    run.sampling.batch_size = 32;
+  }
   RunOutput output;
   output.result = TrainNodeClassifier(*model, setup.graph, setup.split,
                                       StrategyConfig::SkipNodeU(0.5f), run);
@@ -73,13 +79,12 @@ RunOutput TrainOnce(const Fixture& setup, bool instrumented, int threads) {
 
 // The acceptance criterion: trained weights are bitwise identical with
 // telemetry + metrics collection on vs off, at 1 and at 4 threads.
-TEST(TrainerMetricsTest, WeightsAreBitwiseIdenticalWithMetricsOnOrOff) {
-  Fixture setup(10);
+void ExpectMetricsAreOffTheNumericPath(const Fixture& setup, bool sampled) {
   const RunOutput baseline = TrainOnce(setup, /*instrumented=*/false,
-                                       /*threads=*/1);
+                                       /*threads=*/1, sampled);
   for (const int threads : {1, 4}) {
     const RunOutput instrumented =
-        TrainOnce(setup, /*instrumented=*/true, threads);
+        TrainOnce(setup, /*instrumented=*/true, threads, sampled);
     ASSERT_EQ(instrumented.parameter_bytes.size(),
               baseline.parameter_bytes.size());
     for (size_t i = 0; i < baseline.parameter_bytes.size(); ++i) {
@@ -95,6 +100,14 @@ TEST(TrainerMetricsTest, WeightsAreBitwiseIdenticalWithMetricsOnOrOff) {
                      baseline.result.final_train_loss);
     EXPECT_EQ(instrumented.result.best_epoch, baseline.result.best_epoch);
   }
+}
+
+TEST(TrainerMetricsTest, WeightsAreBitwiseIdenticalWithMetricsOnOrOff) {
+  ExpectMetricsAreOffTheNumericPath(Fixture(10), /*sampled=*/false);
+}
+
+TEST(TrainerMetricsTest, SampledWeightsAreBitwiseIdenticalWithMetricsOnOrOff) {
+  ExpectMetricsAreOffTheNumericPath(Fixture(14), /*sampled=*/true);
 }
 
 TEST(TrainerMetricsTest, EpochMetricsCoverEveryEpoch) {
@@ -118,6 +131,22 @@ TEST(TrainerMetricsTest, EpochMetricsCoverEveryEpoch) {
   EXPECT_GT(backward_total, 0);
   EXPECT_GT(step_total, 0);
   EXPECT_GT(eval_total, 0);
+}
+
+// A sampled epoch sums its minibatches' phases into one EpochMetrics.
+TEST(TrainerMetricsTest, SampledEpochMetricsCoverEveryEpoch) {
+  Fixture setup(15);
+  const RunOutput run = TrainOnce(setup, /*instrumented=*/true,
+                                  /*threads=*/1, /*sampled=*/true);
+  EXPECT_EQ(run.result.epochs_run, 20);
+  ASSERT_EQ(static_cast<int>(run.result.epoch_metrics.size()),
+            run.result.epochs_run);
+  for (size_t i = 0; i < run.result.epoch_metrics.size(); ++i) {
+    const EpochMetrics& epoch = run.result.epoch_metrics[i];
+    EXPECT_EQ(epoch.epoch, static_cast<int>(i));
+    EXPECT_GT(epoch.forward_ns, 0) << "epoch " << i;
+    EXPECT_GT(epoch.train_loss, 0.0) << "epoch " << i;
+  }
 }
 
 TEST(TrainerMetricsTest, UninstrumentedRunCollectsNothing) {
