@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "train/dynamics.h"
+#include "train/trainer.h"
 
 namespace skipnode {
 namespace {
@@ -66,8 +66,8 @@ void Main() {
         .Param("epochs", epochs);
     Rng rng(7);
     auto model = MakeModel("GCN", config, rng);
-    row.record =
-        TrainWithDynamics(*model, graph, split, row.strategy, options);
+    TrainNodeClassifier(*model, graph, split, row.strategy,
+                        {.options = options, .dynamics = &row.record});
     recorder.Record("final_val_accuracy",
                     100.0 * row.record.val_accuracy.back());
     recorder.Record("final_mad", row.record.mad.back());

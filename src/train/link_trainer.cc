@@ -36,6 +36,7 @@ LinkResult TrainLinkPredictor(Model& encoder, const Graph& message_graph,
                               const StrategyConfig& strategy,
                               const LinkTrainOptions& options) {
   SKIPNODE_CHECK(!split.train_edges.empty());
+  SKIPNODE_CHECK(options.eval_every >= 1);
   Rng rng(options.seed);
   Adam optimizer(options.learning_rate, options.weight_decay);
   const std::vector<Parameter*> parameters = encoder.Parameters();

@@ -9,11 +9,13 @@
 #include <cstdio>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "autograd/health.h"
 #include "base/check.h"
 #include "base/telemetry.h"
+#include "core/oversmoothing.h"
 #include "serve/frozen_model.h"
 #include "train/metrics.h"
 #include "train/optimizer.h"
@@ -21,7 +23,7 @@
 namespace skipnode {
 namespace {
 
-// Outcome of one guarded training step.
+// Outcome of one guarded training epoch.
 enum class StepStatus {
   kOk,          // stepped normally
   kRolledBack,  // fault detected, snapshot restored — skip this epoch's eval
@@ -67,6 +69,7 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
   const HealthOptions& health = run.health;
   SKIPNODE_CHECK(graph.has_labels());
   SKIPNODE_CHECK(!split.train.empty());
+  SKIPNODE_CHECK(options.eval_every >= 1);
   SKIPNODE_CHECK(health.check_every >= 1);
   SKIPNODE_CHECK(health.max_rollbacks >= 0);
   SKIPNODE_CHECK(health.lr_backoff > 0.0f && health.lr_backoff <= 1.0f);
@@ -77,14 +80,20 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
   Adam optimizer(learning_rate, options.weight_decay);
   const std::vector<Parameter*> parameters = model.Parameters();
   FaultInjector injector(run.fault);
+  // The parameter a gradient or update fault corrupts.
+  Parameter& fault_parameter =
+      *parameters[run.fault.parameter_index % parameters.size()];
 
-  // Minibatch sampling state (DESIGN §15). The sampler and the mask callback
-  // live for the whole run; the callback draws the per-batch SkipNode masks
-  // from the run Rng, serially, inside SampleBlocks.
+  // An epoch's batches are consecutive slices of `seed_order`: one slice
+  // holding every train row for full-batch training, or shuffled minibatches
+  // under sampling (DESIGN §15). The sampler and the mask callback live for
+  // the whole run; the callback draws the per-batch SkipNode masks from the
+  // run Rng, serially, inside SampleBlocks.
   const SamplingOptions& sampling = run.sampling;
   std::unique_ptr<NeighborSampler> sampler;
   LayerSkipMaskFn sampled_mask_fn;
-  std::vector<int> seed_order;
+  std::vector<int> seed_order = split.train;
+  size_t batch_size = seed_order.size();
   if (sampling.enabled()) {
     SKIPNODE_CHECK_MSG(model.SupportsSampledForward(),
                        "model does not support sampled training");
@@ -93,7 +102,15 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
         graph, SamplerConfig{sampling.fanouts});
     sampled_mask_fn = MakeSampledSkipMaskFn(
         graph, strategy, static_cast<int>(sampling.fanouts.size()), rng);
-    seed_order = split.train;
+    batch_size = static_cast<size_t>(sampling.batch_size);
+  }
+
+  DynamicsRecord* const dynamics = run.dynamics;
+  if (dynamics != nullptr) {
+    SKIPNODE_CHECK_MSG(!sampling.enabled(),
+                       "the dynamics sink needs full-batch training");
+    SKIPNODE_CHECK_MSG(options.eval_every == 1,
+                       "the dynamics sink needs eval_every == 1");
   }
 
   TrainResult result;
@@ -119,12 +136,12 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
 
   // Restores the snapshot, decays the LR, and restarts the optimizer (a bad
   // step may have poisoned the Adam moments; fresh moments are the only
-  // state guaranteed clean). Returns false once the budget is spent.
+  // state guaranteed clean). Halts once the budget is spent.
   const auto rollback = [&](int epoch) {
     if (result.rollbacks >= health.max_rollbacks) {
       log_event(HealthEventKind::kRecoveryExhausted, epoch,
                 FormatDetail("%d rollbacks spent", result.rollbacks));
-      return false;
+      return StepStatus::kHalt;
     }
     ++result.rollbacks;
     for (size_t i = 0; i < parameters.size(); ++i) {
@@ -137,7 +154,7 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
     learning_rate = decayed;
     result.final_learning_rate = learning_rate;
     optimizer = Adam(learning_rate, options.weight_decay);
-    return true;
+    return StepStatus::kRolledBack;
   };
 
   // Phase timing for the current epoch. Clock reads sit between phases only
@@ -148,167 +165,121 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
   EpochMetrics phase;
   const auto now = [timed]() { return timed ? MonotonicNanos() : 0; };
 
-  const auto maybe_inject = [&](FaultSite site, int epoch, float* data,
-                                int64_t size) {
+  const auto maybe_inject = [&](FaultSite site, int epoch, Matrix& target) {
     if (!injector.ShouldFire(site, epoch)) return;
-    injector.Corrupt(data, size, epoch);
+    injector.Corrupt(target.data(), target.size(), epoch);
     log_event(HealthEventKind::kFaultInjected, epoch,
               FormatDetail("%s %s x%zu", FaultSiteName(site),
                            FaultKindName(run.fault.kind),
                            injector.events().back().indices.size()));
   };
 
-  // One training step under the guardrails. Factored out so the epoch loop
-  // below reads as: step, then (maybe) evaluate.
-  const auto train_step = [&](int epoch) {
+  // One training epoch: a pass over the epoch's batches, one guarded step
+  // each (loss check, backward, gradient fault, probe/clip, optimizer step,
+  // update fault), then the parameter scan + snapshot once, after the last
+  // step. A rollback abandons the rest of the epoch — the restored
+  // parameters predate every batch of it. All Rng draws (shuffle, batch
+  // seeds, masks, dropout) happen serially, so the epoch is bitwise
+  // identical at any thread count.
+  const auto train_epoch = [&](int epoch) {
     const bool scan_epoch =
         health.enabled &&
         (epoch % health.check_every == 0 || epoch == options.epochs - 1);
-    const int64_t forward_start = now();
-    Tape tape;
-    tape.set_fast_math(strategy.fast_math);
-    StrategyContext ctx(graph, strategy, /*training=*/true, rng);
-    Var logits = model.Forward(tape, graph, ctx, /*training=*/true, rng);
-    {
-      Matrix& activations = tape.MutableValue(logits);
-      maybe_inject(FaultSite::kActivation, epoch, activations.data(),
-                   activations.size());
-    }
-    Var loss = tape.SoftmaxCrossEntropy(logits, graph.labels(), split.train);
-    const Var aux = model.AuxiliaryLoss(tape);
-    if (aux.valid()) loss = tape.Add(loss, aux);
-    const double loss_value = loss.value()(0, 0);
-    phase.forward_ns = now() - forward_start;
-    result.final_train_loss = loss_value;
-    if (health.enabled && !std::isfinite(loss_value)) {
-      log_event(HealthEventKind::kNonFiniteLoss, epoch,
-                FormatDetail("loss = %g", loss_value));
-      return rollback(epoch) ? StepStatus::kRolledBack : StepStatus::kHalt;
-    }
-    const int64_t backward_start = now();
-    Optimizer::ZeroGrad(parameters);
-    tape.Backward(loss);
-    if (injector.ShouldFire(FaultSite::kGradient, epoch)) {
-      Parameter* target =
-          parameters[run.fault.parameter_index % parameters.size()];
-      maybe_inject(FaultSite::kGradient, epoch, target->grad.data(),
-                   target->grad.size());
-    }
-    phase.backward_ns = now() - backward_start;
-    if (scan_epoch || (health.enabled && health.grad_clip_norm > 0.0f)) {
-      const int64_t probe_start = now();
-      const GradientHealth grads = ProbeGradients(parameters);
-      if (!grads.finite) {
-        log_event(HealthEventKind::kNonFiniteGradient, epoch,
-                  grads.first_bad);
-        return rollback(epoch) ? StepStatus::kRolledBack : StepStatus::kHalt;
+    if (sampler != nullptr) {
+      // Fisher-Yates from the run Rng: a fresh minibatch partition per
+      // epoch.
+      for (size_t i = seed_order.size(); i > 1; --i) {
+        const size_t j = static_cast<size_t>(rng.UniformInt(i));
+        std::swap(seed_order[i - 1], seed_order[j]);
       }
-      if (health.grad_clip_norm > 0.0f &&
-          grads.global_norm > health.grad_clip_norm) {
-        ScaleGradients(parameters,
-                       static_cast<float>(health.grad_clip_norm /
-                                          grads.global_norm));
-        log_event(HealthEventKind::kGradientClipped, epoch,
-                  FormatDetail("norm %g > %g", grads.global_norm,
-                               health.grad_clip_norm));
-      }
-      phase.health_ns += now() - probe_start;
     }
-    const int64_t step_start = now();
-    optimizer.Step(parameters);
-    if (injector.ShouldFire(FaultSite::kUpdate, epoch)) {
-      Parameter* target =
-          parameters[run.fault.parameter_index % parameters.size()];
-      maybe_inject(FaultSite::kUpdate, epoch, target->value.data(),
-                   target->value.size());
-    }
-    phase.step_ns = now() - step_start;
-    if (scan_epoch) {
-      const int64_t scan_start = now();
-      std::string first_bad;
-      if (!ParametersFinite(parameters, &first_bad)) {
-        log_event(HealthEventKind::kNonFiniteParameter, epoch, first_bad);
-        return rollback(epoch) ? StepStatus::kRolledBack : StepStatus::kHalt;
-      }
-      take_snapshot(epoch);
-      phase.health_ns += now() - scan_start;
-    }
-    return StepStatus::kOk;
-  };
-
-  // One sampled epoch: a pass over the shuffled train split in minibatches,
-  // one optimizer step per batch, under the same guardrails as train_step
-  // (loss check per batch; gradient probe / clip per batch when armed; the
-  // parameter scan + snapshot once, after the epoch's last step). A rollback
-  // abandons the rest of the epoch — the restored parameters predate every
-  // batch of it. All Rng draws (shuffle, batch seeds, masks, dropout) happen
-  // serially, so the epoch is bitwise identical at any thread count.
-  const auto sampled_epoch = [&](int epoch) {
-    const bool scan_epoch =
-        health.enabled &&
-        (epoch % health.check_every == 0 || epoch == options.epochs - 1);
-    // Fisher-Yates from the run Rng: a fresh minibatch partition per epoch.
-    for (size_t i = seed_order.size(); i > 1; --i) {
-      const size_t j = static_cast<size_t>(rng.UniformInt(i));
-      std::swap(seed_order[i - 1], seed_order[j]);
-    }
-    const size_t batch_size = static_cast<size_t>(sampling.batch_size);
     double epoch_loss = 0.0;
     int num_batches = 0;
     for (size_t start = 0; start < seed_order.size(); start += batch_size) {
-      const size_t end = std::min(start + batch_size, seed_order.size());
-      const std::vector<int> seeds(seed_order.begin() + start,
-                                   seed_order.begin() + end);
-      const uint64_t batch_seed = rng.Next();
+      // Forward over the whole graph, or over one minibatch's sampled
+      // blocks. `ctx` and `batch` stay alive through Backward.
       const int64_t forward_start = now();
-      const SampledBatch batch =
-          sampler->SampleBlocks(seeds, batch_seed, sampled_mask_fn);
       Tape tape;
       tape.set_fast_math(strategy.fast_math);
-      Var logits = model.ForwardSampled(tape, graph, batch, strategy,
-                                        /*training=*/true, rng);
-      {
-        Matrix& activations = tape.MutableValue(logits);
-        maybe_inject(FaultSite::kActivation, epoch, activations.data(),
-                     activations.size());
+      std::optional<StrategyContext> ctx;
+      SampledBatch batch;
+      Var logits;
+      // The loss rows: the train split of the full graph, or the batch's
+      // seeds, which are logit rows 0..n-1 of a sampled forward.
+      std::vector<int> batch_labels, batch_rows;
+      if (sampler == nullptr) {
+        ctx.emplace(graph, strategy, /*training=*/true, rng);
+        logits = model.Forward(tape, graph, *ctx, /*training=*/true, rng);
+      } else {
+        const size_t end = std::min(start + batch_size, seed_order.size());
+        const std::vector<int> seeds(seed_order.begin() + start,
+                                     seed_order.begin() + end);
+        const uint64_t batch_seed = rng.Next();
+        batch = sampler->SampleBlocks(seeds, batch_seed, sampled_mask_fn);
+        logits = model.ForwardSampled(tape, graph, batch, strategy,
+                                      /*training=*/true, rng);
+        for (size_t i = 0; i < seeds.size(); ++i) {
+          batch_labels.push_back(
+              graph.labels()[static_cast<size_t>(seeds[i])]);
+          batch_rows.push_back(static_cast<int>(i));
+        }
       }
-      // Logit row i is seed i: the loss sees the batch-local id space.
-      std::vector<int> batch_labels(seeds.size());
-      std::vector<int> batch_nodes(seeds.size());
-      for (size_t i = 0; i < seeds.size(); ++i) {
-        batch_labels[i] = graph.labels()[static_cast<size_t>(seeds[i])];
-        batch_nodes[i] = static_cast<int>(i);
-      }
-      const Var loss = tape.SoftmaxCrossEntropy(logits, batch_labels,
-                                                batch_nodes);
+      maybe_inject(FaultSite::kActivation, epoch, tape.MutableValue(logits));
+      const std::vector<int>& labels =
+          sampler == nullptr ? graph.labels() : batch_labels;
+      const std::vector<int>& rows =
+          sampler == nullptr ? split.train : batch_rows;
+      Var loss = tape.SoftmaxCrossEntropy(logits, labels, rows);
+      const Var aux = model.AuxiliaryLoss(tape);
+      if (aux.valid()) loss = tape.Add(loss, aux);
       const double loss_value = loss.value()(0, 0);
       epoch_loss += loss_value;
       ++num_batches;
       result.final_train_loss = epoch_loss / num_batches;
       phase.forward_ns += now() - forward_start;
+      if (dynamics != nullptr) {
+        dynamics->train_loss.push_back(static_cast<float>(loss_value));
+      }
       if (health.enabled && !std::isfinite(loss_value)) {
         log_event(HealthEventKind::kNonFiniteLoss, epoch,
-                  FormatDetail("loss = %g (batch %d)", loss_value,
-                               num_batches - 1));
-        return rollback(epoch) ? StepStatus::kRolledBack : StepStatus::kHalt;
+                  sampler == nullptr
+                      ? FormatDetail("loss = %g", loss_value)
+                      : FormatDetail("loss = %g (batch %d)", loss_value,
+                                     num_batches - 1));
+        return rollback(epoch);
       }
+
       const int64_t backward_start = now();
       Optimizer::ZeroGrad(parameters);
       tape.Backward(loss);
-      if (injector.ShouldFire(FaultSite::kGradient, epoch)) {
-        Parameter* target =
-            parameters[run.fault.parameter_index % parameters.size()];
-        maybe_inject(FaultSite::kGradient, epoch, target->grad.data(),
-                     target->grad.size());
-      }
+      maybe_inject(FaultSite::kGradient, epoch, fault_parameter.grad);
       phase.backward_ns += now() - backward_start;
+      if (dynamics != nullptr) {
+        // Figure 2b, before any clip: dLoss/dLogits over the loss rows, and
+        // the first (input-layer) parameter's gradient.
+        const Matrix& g = logits.grad();
+        double sq = 0.0, signed_sum = 0.0;
+        for (const int row : rows) {
+          const float* values = g.row(row);
+          for (int c = 0; c < g.cols(); ++c) {
+            sq += static_cast<double>(values[c]) * values[c];
+            signed_sum += values[c];
+          }
+        }
+        dynamics->output_gradient_norm.push_back(
+            static_cast<float>(std::sqrt(sq)));
+        dynamics->output_gradient_signed_sum.push_back(
+            static_cast<float>(signed_sum));
+        dynamics->first_layer_gradient_norm.push_back(
+            parameters.front()->grad.Norm());
+      }
       if (scan_epoch || (health.enabled && health.grad_clip_norm > 0.0f)) {
         const int64_t probe_start = now();
         const GradientHealth grads = ProbeGradients(parameters);
         if (!grads.finite) {
           log_event(HealthEventKind::kNonFiniteGradient, epoch,
                     grads.first_bad);
-          return rollback(epoch) ? StepStatus::kRolledBack : StepStatus::kHalt;
+          return rollback(epoch);
         }
         if (health.grad_clip_norm > 0.0f &&
             grads.global_norm > health.grad_clip_norm) {
@@ -321,22 +292,24 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
         }
         phase.health_ns += now() - probe_start;
       }
+
       const int64_t step_start = now();
       optimizer.Step(parameters);
-      if (injector.ShouldFire(FaultSite::kUpdate, epoch)) {
-        Parameter* target =
-            parameters[run.fault.parameter_index % parameters.size()];
-        maybe_inject(FaultSite::kUpdate, epoch, target->value.data(),
-                     target->value.size());
-      }
+      maybe_inject(FaultSite::kUpdate, epoch, fault_parameter.value);
       phase.step_ns += now() - step_start;
+      if (dynamics != nullptr) {
+        // Figure 2c: the weight norms after the update.
+        float weight_norm = 0.0f;
+        for (const Parameter* p : parameters) weight_norm += p->value.Norm();
+        dynamics->weight_norm.push_back(weight_norm);
+      }
     }
     if (scan_epoch) {
       const int64_t scan_start = now();
       std::string first_bad;
       if (!ParametersFinite(parameters, &first_bad)) {
         log_event(HealthEventKind::kNonFiniteParameter, epoch, first_bad);
-        return rollback(epoch) ? StepStatus::kRolledBack : StepStatus::kHalt;
+        return rollback(epoch);
       }
       take_snapshot(epoch);
       phase.health_ns += now() - scan_start;
@@ -364,8 +337,7 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     phase = EpochMetrics{};
     phase.epoch = epoch;
-    const StepStatus status =
-        sampling.enabled() ? sampled_epoch(epoch) : train_step(epoch);
+    const StepStatus status = train_epoch(epoch);
     result.epochs_run = epoch + 1;
     phase.train_loss = result.final_train_loss;
     if (status == StepStatus::kHalt) {
@@ -396,6 +368,13 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
       const double test_acc =
           Accuracy(logits.value(), graph.labels(), split.test);
       phase.eval_ns = now() - eval_start;
+      if (dynamics != nullptr) {
+        // Figure 2a: over-smoothing of the penultimate representation.
+        const Matrix& penultimate = model.Penultimate();
+        SKIPNODE_CHECK(!penultimate.empty());
+        dynamics->mad.push_back(MeanAverageDistance(graph, penultimate));
+        dynamics->val_accuracy.push_back(static_cast<float>(val_acc));
+      }
       if (run.on_epoch) {
         run.on_epoch(epoch, result.final_train_loss, val_acc, test_acc);
       }

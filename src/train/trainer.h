@@ -1,9 +1,11 @@
 // Copyright 2026 The SkipNode Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Full-batch node-classification training loop shared by every experiment:
-// Adam + L2, per-epoch validation, model selection on best validation
-// accuracy (the paper's protocol).
+// Node-classification training loop shared by every experiment: Adam + L2,
+// per-epoch validation, model selection on best validation accuracy (the
+// paper's protocol). Full-batch and minibatch-sampled epochs run the same
+// guarded step per batch; an optional sink records the Figure-2 training
+// dynamics.
 
 #ifndef SKIPNODE_TRAIN_TRAINER_H_
 #define SKIPNODE_TRAIN_TRAINER_H_
@@ -133,6 +135,35 @@ struct SamplingOptions {
   bool enabled() const { return !fanouts.empty(); }
 };
 
+// Figure-2 instrumentation (TrainRun::dynamics): per epoch, the three
+// quantities whose joint collapse the paper identifies as the cause of
+// deep-GCN failure —
+//   (a) MAD of the penultimate representation           (over-smoothing),
+//   (b) gradient at the classification and input layers (gradient vanishing),
+//   (c) total L2 norm of the model weights              (weight over-decay).
+// Recording reads values the loop already holds, so it cannot change a
+// trained weight. An epoch that rolls back (HealthOptions) skips the entries
+// it did not reach, so the series stay one entry per epoch only on healthy
+// runs.
+struct DynamicsRecord {
+  // One entry per epoch.
+  std::vector<float> mad;
+  // Frobenius norm of dLoss/dLogits restricted to training rows.
+  std::vector<float> output_gradient_norm;
+  // Gradient norm of the first (input-layer) weight matrix: the quantity
+  // that back-propagation-induced vanishing drives to zero in deep stacks
+  // (Figure 2b). SkipNode keeps it alive by letting gradients bypass
+  // convolutions through skipped rows.
+  std::vector<float> first_layer_gradient_norm;
+  // Signed sum of dLoss/dLogits over training rows and classes — Theorem 1
+  // predicts ~0 once the model over-smooths under class-balanced training.
+  std::vector<float> output_gradient_signed_sum;
+  // Sum of per-parameter L2 norms.
+  std::vector<float> weight_norm;
+  std::vector<float> train_loss;
+  std::vector<float> val_accuracy;
+};
+
 // Observes training progress on evaluated epochs. The callback never sees
 // the Rng and accuracy computation consumes no randomness, so attaching or
 // removing it cannot change the TrainResult.
@@ -164,6 +195,10 @@ struct TrainRun {
   bool collect_metrics = false;
   // Minibatch neighbor sampling; disabled (full-batch) by default.
   SamplingOptions sampling;
+  // Optional Figure-2 sink: when set, every epoch appends to each series.
+  // Needs full-batch training and options.eval_every == 1 (aborts
+  // otherwise). Off the numeric path like the other instrumentation.
+  DynamicsRecord* dynamics = nullptr;
 };
 
 // Trains `model` on `graph` under `strategy` and returns validation-selected

@@ -17,7 +17,6 @@
 #include "core/oversmoothing.h"
 #include "graph/datasets.h"
 #include "nn/model_factory.h"
-#include "train/dynamics.h"
 #include "train/trainer.h"
 
 namespace skipnode {
@@ -93,11 +92,13 @@ TEST(PaperClaimsTest, DynamicsShowThreeCoupledFailures) {
   auto vanilla = MakeModel("GCN", config, rng_a);
   auto with_skip = MakeModel("GCN", config, rng_b);
 
-  const DynamicsRecord rec_vanilla = TrainWithDynamics(
-      *vanilla, setup.graph, setup.split, StrategyConfig::None(), options);
-  const DynamicsRecord rec_skip =
-      TrainWithDynamics(*with_skip, setup.graph, setup.split,
-                        StrategyConfig::SkipNodeU(0.7f), options);
+  DynamicsRecord rec_vanilla, rec_skip;
+  TrainNodeClassifier(*vanilla, setup.graph, setup.split,
+                      StrategyConfig::None(),
+                      {.options = options, .dynamics = &rec_vanilla});
+  TrainNodeClassifier(*with_skip, setup.graph, setup.split,
+                      StrategyConfig::SkipNodeU(0.7f),
+                      {.options = options, .dynamics = &rec_skip});
 
   const auto tail_mean = [](const std::vector<float>& values) {
     double total = 0.0;
@@ -135,8 +136,9 @@ TEST(PaperClaimsTest, Theorem1SignedSumStartsNearZeroForDeepGcn) {
   options.seed = 21;
   Rng rng(23);
   auto model = MakeModel("GCN", DeepConfig(setup.graph, 12), rng);
-  const DynamicsRecord record = TrainWithDynamics(
-      *model, setup.graph, setup.split, StrategyConfig::None(), options);
+  DynamicsRecord record;
+  TrainNodeClassifier(*model, setup.graph, setup.split, StrategyConfig::None(),
+                      {.options = options, .dynamics = &record});
   ASSERT_FALSE(record.output_gradient_signed_sum.empty());
   EXPECT_LT(std::fabs(record.output_gradient_signed_sum.front()),
             0.05f * record.output_gradient_norm.front() + 1e-4f);

@@ -1,7 +1,7 @@
 // Copyright 2026 The SkipNode Authors.
 // Licensed under the Apache License, Version 2.0.
 
-#include "train/dynamics.h"
+#include "train/trainer.h"
 
 #include <cmath>
 
@@ -41,8 +41,9 @@ TEST(DynamicsTest, RecordsOneEntryPerEpochInEverySeries) {
   auto model = MakeModel("GCN", SmallConfig(f.graph), rng);
   TrainOptions options;
   options.epochs = 7;
-  const DynamicsRecord record = TrainWithDynamics(
-      *model, f.graph, f.split, StrategyConfig::None(), options);
+  DynamicsRecord record;
+  TrainNodeClassifier(*model, f.graph, f.split, StrategyConfig::None(),
+                      {.options = options, .dynamics = &record});
   EXPECT_EQ(record.mad.size(), 7u);
   EXPECT_EQ(record.output_gradient_norm.size(), 7u);
   EXPECT_EQ(record.output_gradient_signed_sum.size(), 7u);
@@ -58,8 +59,10 @@ TEST(DynamicsTest, AllSeriesAreFiniteAndSigned) {
   auto model = MakeModel("GCN", SmallConfig(f.graph), rng);
   TrainOptions options;
   options.epochs = 10;
-  const DynamicsRecord record = TrainWithDynamics(
-      *model, f.graph, f.split, StrategyConfig::SkipNodeU(0.5f), options);
+  DynamicsRecord record;
+  TrainNodeClassifier(*model, f.graph, f.split,
+                      StrategyConfig::SkipNodeU(0.5f),
+                      {.options = options, .dynamics = &record});
   for (size_t e = 0; e < record.mad.size(); ++e) {
     EXPECT_TRUE(std::isfinite(record.mad[e]));
     EXPECT_GE(record.mad[e], 0.0f);
@@ -78,8 +81,9 @@ TEST(DynamicsTest, ShallowTrainingShowsLearning) {
   TrainOptions options;
   options.epochs = 40;
   options.weight_decay = 0.0f;
-  const DynamicsRecord record = TrainWithDynamics(
-      *model, f.graph, f.split, StrategyConfig::None(), options);
+  DynamicsRecord record;
+  TrainNodeClassifier(*model, f.graph, f.split, StrategyConfig::None(),
+                      {.options = options, .dynamics = &record});
   // Loss falls substantially from the first epoch to the last.
   EXPECT_LT(record.train_loss.back(), record.train_loss.front());
   // Gradient actually reaches the first layer on a shallow model.
@@ -93,8 +97,9 @@ TEST(DynamicsTest, WeightDecayShrinksWeightNormSeries) {
   TrainOptions options;
   options.epochs = 30;
   options.weight_decay = 5e-2f;  // Aggressive decay dominates learning.
-  const DynamicsRecord record = TrainWithDynamics(
-      *model, f.graph, f.split, StrategyConfig::None(), options);
+  DynamicsRecord record;
+  TrainNodeClassifier(*model, f.graph, f.split, StrategyConfig::None(),
+                      {.options = options, .dynamics = &record});
   EXPECT_LT(record.weight_norm.back(), record.weight_norm.front());
 }
 
@@ -107,12 +112,40 @@ TEST(DynamicsTest, SignedSumIsSmallWithBalancedTraining) {
   auto model = MakeModel("GCN", SmallConfig(f.graph), rng);
   TrainOptions options;
   options.epochs = 5;
-  const DynamicsRecord record = TrainWithDynamics(
-      *model, f.graph, f.split, StrategyConfig::None(), options);
+  DynamicsRecord record;
+  TrainNodeClassifier(*model, f.graph, f.split, StrategyConfig::None(),
+                      {.options = options, .dynamics = &record});
   for (size_t e = 0; e < record.mad.size(); ++e) {
     EXPECT_LT(std::fabs(record.output_gradient_signed_sum[e]),
               0.5f * record.output_gradient_norm[e] + 1e-4f);
   }
+}
+
+// The sink records one full-graph step and one evaluation per epoch, so it
+// refuses runs that take several steps or skip evaluations.
+TEST(DynamicsDeathTest, SinkRejectsSampledTraining) {
+  Fixture f;
+  Rng rng(6);
+  auto model = MakeModel("GCN", SmallConfig(f.graph), rng);
+  DynamicsRecord record;
+  EXPECT_DEATH(TrainNodeClassifier(*model, f.graph, f.split,
+                                   StrategyConfig::None(),
+                                   {.options = {.epochs = 2},
+                                    .sampling = {.fanouts = {4, 4, 4, 4}},
+                                    .dynamics = &record}),
+               "full-batch");
+}
+
+TEST(DynamicsDeathTest, SinkRejectsSkippedEvaluations) {
+  Fixture f;
+  Rng rng(7);
+  auto model = MakeModel("GCN", SmallConfig(f.graph), rng);
+  DynamicsRecord record;
+  EXPECT_DEATH(TrainNodeClassifier(*model, f.graph, f.split,
+                                   StrategyConfig::None(),
+                                   {.options = {.epochs = 4, .eval_every = 2},
+                                    .dynamics = &record}),
+               "eval_every == 1");
 }
 
 }  // namespace

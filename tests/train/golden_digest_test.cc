@@ -24,7 +24,6 @@
 #include "graph/splits.h"
 #include "nn/gcn.h"
 #include "nn/model_factory.h"
-#include "train/dynamics.h"
 #include "train/link_trainer.h"
 #include "train/trainer.h"
 
@@ -116,8 +115,10 @@ uint64_t DynamicsDigest(const StrategyConfig& strategy) {
   Rng init_rng(12);
   std::unique_ptr<Model> model =
       MakeModel("GCN", GoldenConfig(graph, 4), init_rng);
-  const DynamicsRecord record = TrainWithDynamics(
-      *model, graph, split, strategy, {.epochs = 8, .seed = 31});
+  DynamicsRecord record;
+  TrainNodeClassifier(*model, graph, split, strategy,
+                      {.options = {.epochs = 8, .seed = 31},
+                       .dynamics = &record});
   SetParallelThreadCount(0);
   Fnv1a fnv;
   for (const std::vector<float>* series :
@@ -167,7 +168,8 @@ TEST(GoldenDigestTest, JknetNone) {
 }
 
 TEST(GoldenDigestTest, JknetSkipNodeU) {
-  EXPECT_EQ(TrainDigest({.backbone = "JKNet", .layers = 4}), 0x717720c6d9647ad5ULL);
+  EXPECT_EQ(TrainDigest({.backbone = "JKNet", .layers = 4}),
+            0x717720c6d9647ad5ULL);
 }
 
 TEST(GoldenDigestTest, JknetSkipNodeB) {
@@ -183,7 +185,8 @@ TEST(GoldenDigestTest, GcniiNone) {
 }
 
 TEST(GoldenDigestTest, GcniiSkipNodeU) {
-  EXPECT_EQ(TrainDigest({.backbone = "GCNII", .layers = 4}), 0x948769258203be98ULL);
+  EXPECT_EQ(TrainDigest({.backbone = "GCNII", .layers = 4}),
+            0x948769258203be98ULL);
 }
 
 TEST(GoldenDigestTest, GcniiSkipNodeB) {
@@ -197,7 +200,8 @@ TEST(GoldenDigestTest, GcnDynamicsNone) {
 }
 
 TEST(GoldenDigestTest, GcnDynamicsSkipNodeU) {
-  EXPECT_EQ(DynamicsDigest(StrategyConfig::SkipNodeU(0.5f)), 0x9838b318e00adc2aULL);
+  EXPECT_EQ(DynamicsDigest(StrategyConfig::SkipNodeU(0.5f)),
+            0x9838b318e00adc2aULL);
 }
 
 // Link prediction keeps its own epoch loop; this pins its trained encoder.

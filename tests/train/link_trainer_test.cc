@@ -82,5 +82,17 @@ TEST(LinkTrainerTest, WorksWithSkipNodeOnDeeperEncoder) {
   EXPECT_GT(result.test_hits100, 0.3);
 }
 
+TEST(LinkTrainerDeathTest, ZeroEvalEveryAborts) {
+  LinkSetup setup(7);
+  Rng rng(8);
+  GcnModel encoder(EncoderConfig(setup.message_graph, 2), rng);
+  LinkTrainOptions options;
+  options.epochs = 2;
+  options.eval_every = 0;
+  EXPECT_DEATH(TrainLinkPredictor(encoder, setup.message_graph, setup.split,
+                                  StrategyConfig::None(), options),
+               "eval_every >= 1");
+}
+
 }  // namespace
 }  // namespace skipnode

@@ -251,9 +251,9 @@ TEST(TrainerHealthTest, SampledActivationFaultIsCaughtAtTheBatchLossCheck) {
   fault.site = FaultSite::kActivation;
   fault.kind = FaultKind::kNaN;
   fault.epoch = 6;
-  const TrainResult result =
-      TrainNodeClassifier(*model, setup.graph, setup.split,
-                          StrategyConfig::SkipNodeU(0.5f), SampledRun(20, fault));
+  const TrainResult result = TrainNodeClassifier(
+      *model, setup.graph, setup.split, StrategyConfig::SkipNodeU(0.5f),
+      SampledRun(20, fault));
   EXPECT_EQ(CountEvents(result.health_log, HealthEventKind::kFaultInjected),
             1);
   ASSERT_EQ(CountEvents(result.health_log, HealthEventKind::kNonFiniteLoss),

@@ -85,6 +85,16 @@ TEST(TrainerTest, EvalEveryReducesEvaluationWithoutBreakingSelection) {
   EXPECT_EQ(result.best_epoch % 5 == 0 || result.best_epoch == 39, true);
 }
 
+TEST(TrainerDeathTest, ZeroEvalEveryAborts) {
+  Fixture setup(5);
+  Rng rng(7);
+  auto model = MakeModel("GCN", ConfigFor(setup.graph, 2), rng);
+  EXPECT_DEATH(TrainNodeClassifier(*model, setup.graph, setup.split,
+                                   StrategyConfig::None(),
+                                   {.options = {.epochs = 2, .eval_every = 0}}),
+               "eval_every >= 1");
+}
+
 TEST(TrainerTest, EvaluateLogitsShapeAndDeterminism) {
   Fixture setup(6);
   Rng rng(8);
