@@ -158,7 +158,9 @@ Var Tape::Axpby(Var a, Var b, float alpha, float beta) {
 
 Var Tape::Scale(Var a, float s) {
   SKIPNODE_CHECK(a.tape_ == this);
-  Var out = Emplace(skipnode::Scale(a.value(), s), AnyNeedsGrad({a}));
+  Matrix value = AcquireOutput(a.rows(), a.cols());
+  ScaleInto(a.value(), s, value);
+  Var out = Emplace(std::move(value), AnyNeedsGrad({a}));
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_;
   SetBackward(out, [tape, oi, ai, s]() {
@@ -186,23 +188,41 @@ Var Tape::Dropout(Var a, float rate, bool training, Rng& rng) {
   SKIPNODE_CHECK(a.tape_ == this);
   SKIPNODE_CHECK(rate >= 0.0f && rate < 1.0f);
   if (!training || rate == 0.0f) return a;
-  Matrix mask(a.rows(), a.cols());
+  const bool needs_grad = a.needs_grad();
   Matrix value = AcquireOutput(a.rows(), a.cols());
+  Matrix mask;
   {
     const ScopedTimer timer("autograd.dropout", /*items=*/a.rows());
     // One draw per element in row-major order (the Rng stream every seeded
     // run depends on); indexing by the draw instead of branching on it
     // keeps the loop free of an unpredictable branch.
     const float keep[2] = {1.0f / (1.0f - rate), 0.0f};
-    float* md = mask.data();
-    for (int64_t i = 0; i < mask.size(); ++i) md[i] = keep[rng.Bernoulli(rate)];
-    HadamardInto(a.value(), mask, value);
+    if (needs_grad) {
+      mask = AcquireOutput(a.rows(), a.cols());
+      float* md = mask.data();
+      for (int64_t i = 0; i < mask.size(); ++i) {
+        md[i] = keep[rng.Bernoulli(rate)];
+      }
+      HadamardInto(a.value(), mask, value);
+    } else {
+      // Nothing will read a grad-free input's mask: the same draws, in the
+      // same order, scale the input directly — the same single product per
+      // element as the Hadamard, so bitwise identical.
+      const float* ad = a.value().data();
+      float* vd = value.data();
+      for (int64_t i = 0; i < value.size(); ++i) {
+        vd[i] = ad[i] * keep[rng.Bernoulli(rate)];
+      }
+    }
   }
-  Var out = Emplace(std::move(value), AnyNeedsGrad({a}));
+  Var out = Emplace(std::move(value), needs_grad);
+  if (!needs_grad) return out;
+  node(out.index_).saved = std::move(mask);
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_;
-  SetBackward(out, [tape, oi, ai, mask = std::move(mask)]() {
-    Matrix ga = Hadamard(tape->node(oi).grad, mask);
+  SetBackward(out, [tape, oi, ai]() {
+    const Node& n = tape->node(oi);
+    Matrix ga = Hadamard(n.grad, n.saved);
     AddScaled(ga, 1.0f, tape->EnsureGrad(ai));
   });
   return out;
@@ -214,13 +234,17 @@ Var Tape::ConcatCols(const std::vector<Var>& parts) {
   std::vector<int> indices;
   values.reserve(parts.size());
   bool needs_grad = false;
+  int cols = 0;
   for (const Var& part : parts) {
     SKIPNODE_CHECK(part.tape_ == this);
     values.push_back(&part.value());
     indices.push_back(part.index_);
     needs_grad = needs_grad || part.needs_grad();
+    cols += part.cols();
   }
-  Var out = Emplace(skipnode::ConcatCols(values), needs_grad);
+  Matrix value = AcquireOutput(parts[0].rows(), cols);
+  ConcatColsInto(values, value);
+  Var out = Emplace(std::move(value), needs_grad);
   Tape* tape = this;
   const int oi = out.index_;
   SetBackward(out, [tape, oi, indices = std::move(indices)]() {
@@ -252,7 +276,7 @@ Var Tape::LinearCombination(const std::vector<Var>& parts, Var coefficients) {
   SKIPNODE_CHECK(coefficients.rows() == 1);
   SKIPNODE_CHECK(coefficients.cols() == static_cast<int>(parts.size()));
   const Matrix& coeff = coefficients.value();
-  Matrix value(parts[0].rows(), parts[0].cols());
+  Matrix value = AcquireOutput(parts[0].rows(), parts[0].cols());
   std::vector<int> indices;
   bool needs_grad = coefficients.needs_grad();
   for (size_t k = 0; k < parts.size(); ++k) {
@@ -288,8 +312,9 @@ Var Tape::LinearCombination(const std::vector<Var>& parts, Var coefficients) {
 
 Var Tape::GatherRows(Var x, std::vector<int> rows) {
   SKIPNODE_CHECK(x.tape_ == this);
-  Var out =
-      Emplace(skipnode::GatherRows(x.value(), rows), AnyNeedsGrad({x}));
+  Matrix value = AcquireOutput(static_cast<int>(rows.size()), x.cols());
+  GatherRowsInto(x.value(), rows, value);
+  Var out = Emplace(std::move(value), AnyNeedsGrad({x}));
   Tape* tape = this;
   const int oi = out.index_, xi = x.index_;
   SetBackward(out, [tape, oi, xi, rows = std::move(rows)]() {
@@ -318,7 +343,7 @@ Var Tape::GatAggregate(std::shared_ptr<const CsrMatrix> pattern, Var h,
   // resolve through WithOffsets so wide-offset patterns take the same path.
   std::vector<float> raw(col_idx.size());
   std::vector<float> alpha(col_idx.size());
-  Matrix value(n, hv.cols());
+  Matrix value = AcquireOutput(n, hv.cols());
   const bool vec = simd::Enabled();
   WithOffsets(pattern->row_offsets(), [&](const auto* row_ptr) {
     for (int i = 0; i < n; ++i) {
@@ -409,8 +434,9 @@ Var Tape::GatAggregate(std::shared_ptr<const CsrMatrix> pattern, Var h,
 
 Var Tape::RowDots(Var a, Var b) {
   SKIPNODE_CHECK(a.tape_ == this && b.tape_ == this);
-  Var out =
-      Emplace(skipnode::RowDots(a.value(), b.value()), AnyNeedsGrad({a, b}));
+  Matrix value = AcquireOutput(a.rows(), 1);
+  RowDotsInto(a.value(), b.value(), value);
+  Var out = Emplace(std::move(value), AnyNeedsGrad({a, b}));
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_, bi = b.index_;
   SetBackward(out, [tape, oi, ai, bi]() {
@@ -448,7 +474,7 @@ Var Tape::RowSelect(const std::vector<uint8_t>& skip_mask, Var skipped,
   SKIPNODE_CHECK(skipped.tape_ == this && convolved.tape_ == this);
   SKIPNODE_CHECK(skipped.value().SameShape(convolved.value()));
   SKIPNODE_CHECK(static_cast<int>(skip_mask.size()) == skipped.rows());
-  Matrix value = convolved.value();
+  Matrix value = AcquireCopy(convolved.value());
   const Matrix& sv = skipped.value();
   for (int r = 0; r < value.rows(); ++r) {
     if (skip_mask[r]) {
@@ -483,7 +509,7 @@ Var Tape::PairNorm(Var x, float scale, float epsilon) {
   const Matrix& xv = x.value();
   Matrix centered = SubtractRowVector(xv, ColumnMeans(xv));
   Matrix norms = RowNorms(centered);  // N x 1
-  Matrix value = centered;
+  Matrix value = AcquireCopy(centered);
   const bool vec = simd::Enabled();
   for (int r = 0; r < value.rows(); ++r) {
     const float inv = scale / std::max(norms(r, 0), epsilon);
@@ -550,7 +576,7 @@ Var Tape::SoftmaxCrossEntropy(Var logits, const std::vector<int>& labels,
     for (int c = 0; c < num_classes; ++c) pr[c] *= inv;
     loss -= std::log(std::max(static_cast<double>(pr[label]), 1e-30));
   }
-  Matrix value(1, 1);
+  Matrix value = AcquireOutput(1, 1);
   value(0, 0) = static_cast<float>(loss / static_cast<double>(nodes.size()));
   Var out = Emplace(std::move(value), AnyNeedsGrad({logits}));
 
@@ -593,7 +619,7 @@ Var Tape::BceWithLogits(Var logits, const std::vector<float>& targets) {
     // Stable: max(z,0) - t*z + log(1 + exp(-|z|)).
     loss += std::max(zr, 0.0) - t * zr + std::log1p(std::exp(-std::fabs(zr)));
   }
-  Matrix value(1, 1);
+  Matrix value = AcquireOutput(1, 1);
   value(0, 0) = static_cast<float>(loss / z.rows());
   Var out = Emplace(std::move(value), AnyNeedsGrad({logits}));
   Tape* tape = this;
@@ -615,7 +641,7 @@ Var Tape::MseLoss(Var a, Var b) {
   SKIPNODE_CHECK(a.tape_ == this && b.tape_ == this);
   SKIPNODE_CHECK(a.value().SameShape(b.value()));
   const Matrix diff = skipnode::Sub(a.value(), b.value());
-  Matrix value(1, 1);
+  Matrix value = AcquireOutput(1, 1);
   value(0, 0) = diff.SquaredNorm() / static_cast<float>(diff.size());
   Var out = Emplace(std::move(value), AnyNeedsGrad({a, b}));
   Tape* tape = this;

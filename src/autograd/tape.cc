@@ -12,13 +12,14 @@
 
 namespace skipnode {
 
-// Every buffer the tape owns goes back to the pool; the next step's tape
-// (same model, same graph) re-acquires the identical shapes.
+// Every buffer the tape owns came from the pool and goes back to it; the
+// next step's tape (same model, same graph) re-acquires the same sizes.
 Tape::~Tape() {
   MatrixPool& pool = GlobalMatrixPool();
   for (auto& node : nodes_) {
     pool.Release(std::move(node->value));
     if (node->grad_ready) pool.Release(std::move(node->grad));
+    pool.Release(std::move(node->saved));
   }
 }
 
@@ -77,8 +78,14 @@ Matrix Tape::AcquireOutput(int rows, int cols) {
   return GlobalMatrixPool().Acquire(rows, cols);
 }
 
+Matrix Tape::AcquireCopy(const Matrix& value) {
+  Matrix copy = AcquireOutput(value.rows(), value.cols());
+  std::copy_n(value.data(), value.size(), copy.data());
+  return copy;
+}
+
 Var Tape::Leaf(Parameter& parameter) {
-  Var v = Emplace(parameter.value, /*needs_grad=*/true);
+  Var v = Emplace(AcquireCopy(parameter.value), /*needs_grad=*/true);
   Parameter* param = &parameter;
   Tape* tape = this;
   const int index = v.index_;
@@ -91,13 +98,17 @@ Var Tape::Leaf(Parameter& parameter) {
 }
 
 Var Tape::Constant(const Matrix& value) {
-  Matrix copy = AcquireOutput(value.rows(), value.cols());
-  std::copy_n(value.data(), value.size(), copy.data());
-  return Emplace(std::move(copy), /*needs_grad=*/false);
+  return Emplace(AcquireCopy(value), /*needs_grad=*/false);
 }
 
-Var Tape::Constant(Matrix&& value) {
-  return Emplace(std::move(value), /*needs_grad=*/false);
+Var Tape::ConstantRows(const Matrix& value, const std::vector<int>& rows) {
+  Matrix gathered = AcquireOutput(static_cast<int>(rows.size()), value.cols());
+  GatherRowsInto(value, rows, gathered);
+  return Emplace(std::move(gathered), /*needs_grad=*/false);
+}
+
+Var Tape::Zeros(int rows, int cols) {
+  return Emplace(AcquireOutput(rows, cols), /*needs_grad=*/false);
 }
 
 Matrix& Tape::MutableValue(Var v) {

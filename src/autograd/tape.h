@@ -88,12 +88,13 @@ class Var {
 // Records a forward pass and differentiates it. Not reusable after
 // Backward(); build a fresh Tape per step.
 //
-// Node value and gradient buffers are drawn from the global MatrixPool
-// (tensor/pool.h) where the op computes into a fresh buffer, and every
-// buffer is returned to the pool when the tape dies — the per-step
-// allocation churn of the one-Tape-per-step design becomes pool hits after
-// the first step. Pooling is invisible to results: recycled buffers are
-// re-zeroed, so they are indistinguishable from fresh ones.
+// Every buffer a node holds (value, gradient, and op workspace such as a
+// Dropout mask) is drawn from the global MatrixPool (tensor/pool.h) and
+// returned to it when the tape dies — the per-step allocation churn of the
+// one-Tape-per-step design becomes pool hits after the first step, and the
+// pool's retention is bounded by one step's working set. Pooling is
+// invisible to results: recycled buffers are re-zeroed, so they are
+// indistinguishable from fresh ones.
 class Tape {
  public:
   Tape() = default;
@@ -107,11 +108,15 @@ class Tape {
   // `parameter.grad`. The parameter must outlive the tape.
   Var Leaf(Parameter& parameter);
   // Leaf with no gradient (inputs, labels-as-features, etc.): grad-free, so
-  // ops over constants only record no backward closure. The copying
-  // overload stages the copy in a pool-acquired buffer so repeated steps
-  // recycle it instead of re-allocating feature-sized matrices each epoch.
+  // ops over constants only record no backward closure. The copy is staged
+  // in a pool-acquired buffer so repeated steps recycle it instead of
+  // re-allocating feature-sized matrices each epoch.
   Var Constant(const Matrix& value);
-  Var Constant(Matrix&& value);
+  // Constant holding rows `rows` of `value` (a sampled minibatch's input
+  // frontier), gathered straight into a pool-acquired buffer.
+  Var ConstantRows(const Matrix& value, const std::vector<int>& rows);
+  // Grad-free rows x cols zeros.
+  Var Zeros(int rows, int cols);
 
   // --- Core ops ------------------------------------------------------------
 
@@ -137,8 +142,10 @@ class Tape {
   Var Axpby(Var a, Var b, float alpha, float beta);
   Var Scale(Var a, float s);
   Var Relu(Var a);
-  // Inverted dropout; identity when `training` is false. The mask is drawn
-  // even for a grad-free input, so the Rng stream never depends on pruning.
+  // Inverted dropout; identity when `training` is false. A grad-free input
+  // still consumes its draws, so the Rng stream never depends on pruning,
+  // but keeps no mask: nothing runs its backward, so the draws scale the
+  // input directly.
   Var Dropout(Var a, float rate, bool training, Rng& rng);
   // Horizontal concatenation (JKNet).
   Var ConcatCols(const std::vector<Var>& parts);
@@ -211,6 +218,9 @@ class Tape {
   struct Node {
     Matrix value;
     Matrix grad;        // Allocated lazily by EnsureGrad().
+    // Op workspace the backward closure reads (the Dropout mask); a pool
+    // buffer released with the tape like value and grad.
+    Matrix saved;
     bool grad_ready = false;
     // Whether any Leaf is an ancestor, i.e. whether a gradient flowing into
     // this node can reach a Parameter. Fixed at record time.
@@ -223,6 +233,8 @@ class Tape {
 
   Node& node(int index) { return *nodes_[index]; }
   const Node& node(int index) const { return *nodes_[index]; }
+  // Records a node; `value` must be a pool buffer (AcquireOutput or
+  // AcquireCopy), since ~Tape releases it to the pool.
   Var Emplace(Matrix value, bool needs_grad);
   // Whether an op over `inputs` needs a gradient: the OR of theirs.
   static bool AnyNeedsGrad(std::initializer_list<Var> inputs);
@@ -237,6 +249,8 @@ class Tape {
   Matrix* ParentGrad(int index);
   // Zeroed rows x cols output buffer, drawn from the workspace pool.
   Matrix AcquireOutput(int rows, int cols);
+  // Pool-acquired copy of `value`.
+  Matrix AcquireCopy(const Matrix& value);
 
   std::vector<std::unique_ptr<Node>> nodes_;
   bool backward_done_ = false;

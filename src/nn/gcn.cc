@@ -69,7 +69,7 @@ Var GcnModel::ForwardSampled(Tape& tape, const Graph& graph,
   const int num_layers = config_.num_layers;
   SKIPNODE_CHECK(static_cast<int>(batch.layers.size()) == num_layers);
   // Bottom src frontier features, gathered once per batch.
-  Var x = tape.Constant(GatherRows(graph.features(), batch.input_nodes));
+  Var x = tape.ConstantRows(graph.features(), batch.input_nodes);
   for (int l = 0; l < num_layers; ++l) {
     const SampledLayer& block = batch.layers[static_cast<size_t>(l)];
     SKIPNODE_CHECK(block.num_src() == x.value().rows());

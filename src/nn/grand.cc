@@ -26,7 +26,7 @@ Var GrandModel::View(Tape& tape, const Graph& graph, StrategyContext& ctx,
     // strategy of Do et al. that resamples the adjacency).
     const std::vector<uint8_t> drop_mask = SampleSkipMaskUniform(
         graph.num_nodes(), config_.grand_dropnode, rng);
-    Var zeros = tape.Constant(Matrix(x.rows(), x.cols()));
+    Var zeros = tape.Zeros(x.rows(), x.cols());
     Var scaled = tape.Scale(x, 1.0f / (1.0f - config_.grand_dropnode));
     x = tape.RowSelect(drop_mask, zeros, scaled);
   }

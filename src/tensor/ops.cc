@@ -354,13 +354,22 @@ Matrix Transpose(const Matrix& a) {
 
 Matrix ConcatCols(const std::vector<const Matrix*>& parts) {
   SKIPNODE_CHECK(!parts.empty());
+  int cols = 0;
+  for (const Matrix* part : parts) cols += part->cols();
+  Matrix out(parts[0]->rows(), cols);
+  ConcatColsInto(parts, out);
+  return out;
+}
+
+void ConcatColsInto(const std::vector<const Matrix*>& parts, Matrix& out) {
+  SKIPNODE_CHECK(!parts.empty());
   const int rows = parts[0]->rows();
   int cols = 0;
   for (const Matrix* part : parts) {
     SKIPNODE_CHECK(part->rows() == rows);
     cols += part->cols();
   }
-  Matrix out(rows, cols);
+  SKIPNODE_CHECK(out.rows() == rows && out.cols() == cols);
   for (int i = 0; i < rows; ++i) {
     float* oi = out.row(i);
     for (const Matrix* part : parts) {
@@ -369,13 +378,20 @@ Matrix ConcatCols(const std::vector<const Matrix*>& parts) {
       oi += part->cols();
     }
   }
-  return out;
 }
 
 Matrix GatherRows(const Matrix& x, const std::vector<int>& rows) {
+  Matrix out(static_cast<int>(rows.size()), x.cols());
+  GatherRowsInto(x, rows, out);
+  return out;
+}
+
+void GatherRowsInto(const Matrix& x, const std::vector<int>& rows,
+                    Matrix& out) {
   const ScopedTimer timer("tensor.gather_rows",
                           /*items=*/static_cast<int64_t>(rows.size()));
-  Matrix out(static_cast<int>(rows.size()), x.cols());
+  SKIPNODE_CHECK(out.rows() == static_cast<int>(rows.size()) &&
+                 out.cols() == x.cols());
   ParallelFor(
       0, static_cast<int64_t>(rows.size()),
       [&](int64_t lo, int64_t hi) {
@@ -386,7 +402,6 @@ Matrix GatherRows(const Matrix& x, const std::vector<int>& rows) {
         }
       },
       MinRowsPerThread(x.cols()));
-  return out;
 }
 
 // Serial: `rows` may repeat, so output rows are not owned by one source row
@@ -562,8 +577,14 @@ Matrix RowNorms(const Matrix& x) {
 }
 
 Matrix RowDots(const Matrix& a, const Matrix& b) {
-  SKIPNODE_CHECK(a.SameShape(b));
   Matrix out(a.rows(), 1);
+  RowDotsInto(a, b, out);
+  return out;
+}
+
+void RowDotsInto(const Matrix& a, const Matrix& b, Matrix& out) {
+  SKIPNODE_CHECK(a.SameShape(b));
+  SKIPNODE_CHECK(out.rows() == a.rows() && out.cols() == 1);
   ParallelFor(
       0, a.rows(),
       [&](int64_t lo, int64_t hi) {
@@ -578,7 +599,6 @@ Matrix RowDots(const Matrix& a, const Matrix& b) {
         }
       },
       MinRowsPerThread(2 * a.cols()));
-  return out;
 }
 
 float CosineSimilarity(const float* a, const float* b, int n) {

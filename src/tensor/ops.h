@@ -108,11 +108,16 @@ Matrix ReluBackward(const Matrix& x, const Matrix& grad);
 
 Matrix Transpose(const Matrix& a);
 
-// Horizontally concatenates matrices with equal row counts.
+// Horizontally concatenates matrices with equal row counts. The `Into`
+// form writes every element of a caller-owned rows x (sum of cols) buffer.
 Matrix ConcatCols(const std::vector<const Matrix*>& parts);
+void ConcatColsInto(const std::vector<const Matrix*>& parts, Matrix& out);
 
-// Returns x restricted to the given rows (len(rows) x cols).
+// Returns x restricted to the given rows (len(rows) x cols). The `Into` form
+// writes every element of a caller-owned len(rows) x cols buffer.
 Matrix GatherRows(const Matrix& x, const std::vector<int>& rows);
+void GatherRowsInto(const Matrix& x, const std::vector<int>& rows,
+                    Matrix& out);
 
 // out.row(rows[i]) += src.row(i) for every i. Used by gather's backward.
 void ScatterAddRows(const Matrix& src, const std::vector<int>& rows,
@@ -146,8 +151,10 @@ Matrix RowLogSoftmax(const Matrix& x);
 // L2 norm of each row (rows x 1).
 Matrix RowNorms(const Matrix& x);
 
-// Dot products of corresponding rows of a and b (rows x 1).
+// Dot products of corresponding rows of a and b (rows x 1); the `Into`
+// form writes a caller-owned rows x 1 buffer.
 Matrix RowDots(const Matrix& a, const Matrix& b);
+void RowDotsInto(const Matrix& a, const Matrix& b, Matrix& out);
 
 // Cosine similarity of two equal-length float spans; 0 if either is zero.
 float CosineSimilarity(const float* a, const float* b, int n);

@@ -228,6 +228,34 @@ TEST_F(TapePruningTest, ConstantInputGivesBitwiseSameWeightGrad) {
             0);
 }
 
+// Dropout over a grad-free input scales by the draws directly and keeps no
+// mask (one pool buffer, not two), yet its values and the Rng stream after
+// it are bitwise those of the masked path a Leaf input takes.
+TEST_F(TapePruningTest, GradFreeDropoutKeepsNoMaskAndMatchesBitwise) {
+  Rng data_rng(23);
+  Parameter input("x", Matrix::Random(33, 17, data_rng));
+  Matrix values[2];
+  uint64_t next_draw[2] = {0, 0};
+  int64_t acquired[2] = {0, 0};
+  for (const int as_leaf : {0, 1}) {
+    Rng rng(24);
+    Tape tape;
+    Var x = as_leaf ? tape.Leaf(input) : tape.Constant(input.value);
+    const int64_t before = Calls("pool.hit") + Calls("pool.miss");
+    Var out = tape.Dropout(x, 0.3f, /*training=*/true, rng);
+    acquired[as_leaf] = Calls("pool.hit") + Calls("pool.miss") - before;
+    values[as_leaf] = out.value();
+    next_draw[as_leaf] = rng.Next();
+  }
+  EXPECT_EQ(acquired[0], 1);  // The output only.
+  EXPECT_EQ(acquired[1], 2);  // The output and the mask.
+  EXPECT_EQ(next_draw[0], next_draw[1]);
+  ASSERT_TRUE(values[0].SameShape(values[1]));
+  EXPECT_EQ(std::memcmp(values[0].data(), values[1].data(),
+                        sizeof(float) * static_cast<size_t>(values[0].size())),
+            0);
+}
+
 TEST_F(TapePruningTest, ConstantGradIsZeroMatrixOfItsShape) {
   Rng rng(22);
   Parameter w("w", Matrix::Random(6, 3, rng));

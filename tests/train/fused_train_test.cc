@@ -15,6 +15,7 @@
 
 #include "base/parallel.h"
 #include "base/simd.h"
+#include "base/telemetry.h"
 #include "graph/datasets.h"
 #include "graph/splits.h"
 #include "nn/model_factory.h"
@@ -81,6 +82,38 @@ void ExpectBitwiseEqual(const TrainedRun& a, const TrainedRun& b,
     EXPECT_EQ(MaxAbsDiff(a.parameters[i], b.parameters[i]), 0.0f)
         << label << " parameter " << i;
   }
+}
+
+// After the first step a full-batch run recycles its whole working set
+// exactly: every later Acquire hits and the pool's footprint stays flat.
+TEST(FusedTrainTest, FullBatchSteadyStateIsAllPoolHits) {
+  Fixture setup;
+  GlobalMatrixPool().Clear();
+  SetTelemetryEnabled(true);
+  ResetTelemetry();
+  std::vector<int64_t> misses;
+  std::vector<int64_t> retained;
+  Rng rng(12);
+  auto model = MakeModel("GCN", ConfigFor(setup.graph, 4), rng);
+  TrainNodeClassifier(
+      *model, setup.graph, setup.split, StrategyConfig::SkipNodeU(0.5f),
+      {.options = {.epochs = 8, .seed = 31},
+       .on_epoch = [&](int, double, double, double) {
+         const TelemetrySnapshot snapshot = SnapshotTelemetry();
+         const MetricStat* miss = snapshot.Find("pool.miss");
+         misses.push_back(miss == nullptr ? 0 : miss->count);
+         retained.push_back(GlobalMatrixPool().bytes_retained());
+       }});
+  SetTelemetryEnabled(false);
+  ASSERT_EQ(misses.size(), 8u);
+  // misses[0] counts the first training step and the first evaluation.
+  EXPECT_GT(misses[0], 0);
+  for (size_t epoch = 1; epoch < misses.size(); ++epoch) {
+    EXPECT_EQ(misses[epoch], misses[0]) << "epoch " << epoch;
+    EXPECT_EQ(retained[epoch], retained[0]) << "epoch " << epoch;
+  }
+  EXPECT_LE(GlobalMatrixPool().bytes_retained(),
+            GlobalMatrixPool().peak_bytes_lent());
 }
 
 class FusedTrainTest

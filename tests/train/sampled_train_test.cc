@@ -132,7 +132,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The fused masked kernel on sampled blocks must match the naive
-// SpMM + RowSelect composition bit for bit, pooled or not.
+// SpMM + RowSelect composition bit for bit, pooled or not. The pooled runs
+// start from an empty pool; the second and third inherit the first's
+// buffers, whose recycled capacities differ from the new frontier sizes.
 TEST(SampledTrainTest, FusedSampledPathMatchesNaiveBitwise) {
   Fixture fixture;
   TrainSetup fused;
@@ -143,12 +145,48 @@ TEST(SampledTrainTest, FusedSampledPathMatchesNaiveBitwise) {
   SetMatrixPoolEnabled(false);
   const TrainedRun naive_run = Train(fixture, naive);
   SetMatrixPoolEnabled(true);
+  GlobalMatrixPool().Clear();
   const TrainedRun fused_run = Train(fixture, fused);
+  ASSERT_GT(GlobalMatrixPool().buffers_retained(), 0);
+  const TrainedRun warm_run = Train(fixture, fused);
   TrainSetup fused_4t = fused;
   fused_4t.threads = 4;
-  const TrainedRun fused_run_4t = Train(fixture, fused_4t);
+  const TrainedRun warm_run_4t = Train(fixture, fused_4t);
   ExpectBitwiseEqual(naive_run, fused_run, "sampled fused-vs-naive");
-  ExpectBitwiseEqual(naive_run, fused_run_4t, "sampled fused-vs-naive@4t");
+  ExpectBitwiseEqual(naive_run, warm_run, "sampled warm pool");
+  ExpectBitwiseEqual(naive_run, warm_run_4t, "sampled warm pool@4t");
+}
+
+// Every minibatch brings new frontier sizes; the pool must not bank them.
+// Retention is bounded by the most bytes lent at once, so after epoch 10 the
+// pool holds no more than the working set it had already seen by epoch 3.
+// (Retention itself moves by a few percent between epochs, with which
+// buffers the least-recently-released eviction kept, and the lent peak can
+// still rise when a later epoch draws a larger batch.)
+TEST(SampledTrainTest, PoolRetentionDoesNotGrowAcrossEpochs) {
+  Fixture fixture;
+  GlobalMatrixPool().Clear();
+  std::vector<int64_t> retained;
+  std::vector<int64_t> peak;
+  Rng rng(12);
+  auto model = MakeModel("GCN", ConfigFor(fixture.graph, 3), rng);
+  TrainNodeClassifier(
+      *model, fixture.graph, fixture.split, StrategyConfig::SkipNodeU(0.5f),
+      {.options = {.epochs = 10, .seed = 31},
+       .on_epoch =
+           [&](int, double, double, double) {
+             retained.push_back(GlobalMatrixPool().bytes_retained());
+             peak.push_back(GlobalMatrixPool().peak_bytes_lent());
+           },
+       .sampling = {.fanouts = {4, 4, 4}, .batch_size = 32}});
+  ASSERT_EQ(retained.size(), 10u);
+  EXPECT_GT(retained[2], 0);
+  for (size_t epoch = 0; epoch < retained.size(); ++epoch) {
+    EXPECT_LE(retained[epoch], peak[epoch]) << "epoch " << epoch;
+  }
+  EXPECT_LE(retained[9], peak[2]);
+  EXPECT_LE(GlobalMatrixPool().bytes_retained(),
+            GlobalMatrixPool().peak_bytes_lent());
 }
 
 // Sampling is a variance-reduction trade, not a different estimator: over
