@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "base/check.h"
+#include "base/telemetry.h"
 
 namespace skipnode {
 
@@ -23,33 +24,55 @@ EdgeList ErdosRenyi(int num_nodes, double p, Rng& rng) {
   return edges;
 }
 
-namespace {
-
-// Samples an index from the cumulative-weight table `cdf` (strictly
-// increasing, last entry = total mass).
-int SampleFromCdf(const std::vector<double>& cdf, Rng& rng) {
-  const double target = rng.Uniform() * cdf.back();
-  const auto it = std::upper_bound(cdf.begin(), cdf.end(), target);
-  return static_cast<int>(std::min<size_t>(it - cdf.begin(), cdf.size() - 1));
+CutpointTable::CutpointTable(const std::vector<double>& weights) {
+  const int n = static_cast<int>(weights.size());
+  cdf_.resize(n);
+  double running = 0.0;
+  for (int i = 0; i < n; ++i) {
+    running += weights[i];
+    cdf_[i] = running;
+  }
+  if (n == 0) return;
+  const double width = running / n;
+  buckets_per_mass_ = running > 0.0 ? n / running : 0.0;
+  guide_.resize(n);
+  for (int b = 0, i = 0; b < n; ++b) {
+    while (i < n && cdf_[i] <= b * width) ++i;
+    guide_[b] = i;
+  }
 }
 
-}  // namespace
+int CutpointTable::Lookup(double target) const {
+  const int n = size();
+  // The bucket maths may land one bucket off either way in floating point;
+  // the two walks below correct it, so only the probe count depends on it.
+  const double scaled = target * buckets_per_mass_;
+  int i = guide_[scaled > 0.0 ? static_cast<int>(std::min(scaled, n - 1.0))
+                              : 0];
+  while (i > 0 && cdf_[i - 1] > target) --i;
+  while (i < n && cdf_[i] <= target) ++i;
+  return std::min(i, n - 1);
+}
 
-PlantedPartitionGraph PlantedPartition(const PlantedPartitionConfig& config,
-                                       Rng& rng) {
+namespace {
+
+// Labels, degree propensities and cutpoint tables, in the Rng draw order
+// both generators share: one shuffle for the balanced labels, then one
+// propensity per node. Leaves edge_stream_rng unforked.
+DcSbmPlan PlanTables(const PlantedPartitionConfig& config, Rng& rng) {
   SKIPNODE_CHECK(config.num_nodes > 0);
   SKIPNODE_CHECK(config.num_classes > 0);
   SKIPNODE_CHECK(config.homophily >= 0.0 && config.homophily <= 1.0);
   const int n = config.num_nodes;
   const int k = config.num_classes;
 
-  PlantedPartitionGraph graph;
+  DcSbmPlan plan;
   // Balanced classes, randomly assigned.
-  graph.labels.resize(n);
+  plan.labels.resize(n);
   std::vector<int> order(n);
   for (int i = 0; i < n; ++i) order[i] = i;
   rng.Shuffle(order);
-  for (int i = 0; i < n; ++i) graph.labels[order[i]] = i % k;
+  for (int i = 0; i < n; ++i) plan.labels[order[i]] = i % k;
 
   // Degree propensities.
   std::vector<double> theta(n, 1.0);
@@ -62,136 +85,45 @@ PlantedPartitionGraph PlantedPartition(const PlantedPartitionConfig& config,
     }
   }
 
-  // Cumulative propensity tables: global and per class.
-  std::vector<std::vector<int>> class_members(k);
-  for (int i = 0; i < n; ++i) class_members[graph.labels[i]].push_back(i);
-  std::vector<double> global_cdf(n);
-  double running = 0.0;
-  for (int i = 0; i < n; ++i) {
-    running += theta[i];
-    global_cdf[i] = running;
-  }
-  std::vector<std::vector<double>> class_cdf(k);
-  for (int c = 0; c < k; ++c) {
-    running = 0.0;
-    class_cdf[c].reserve(class_members[c].size());
-    for (const int i : class_members[c]) {
-      running += theta[i];
-      class_cdf[c].push_back(running);
-    }
-  }
-
-  std::set<std::pair<int, int>> seen;
-  graph.edges.reserve(config.num_edges);
-  // Draw edges: pick u globally by propensity; pick v within u's class with
-  // probability `homophily`, otherwise globally (rejecting same-class hits to
-  // keep the homophily target tight).
-  const int max_attempts = config.num_edges * 30 + 1000;
-  int attempts = 0;
-  while (static_cast<int>(graph.edges.size()) < config.num_edges &&
-         attempts < max_attempts) {
-    ++attempts;
-    const int u = SampleFromCdf(global_cdf, rng);
-    int v;
-    if (rng.Bernoulli(config.homophily)) {
-      const int c = graph.labels[u];
-      v = class_members[c][SampleFromCdf(class_cdf[c], rng)];
-    } else {
-      // Cross-class edge: resample (not skip) same-class candidates, so the
-      // realised homophily matches the target instead of drifting upward.
-      v = -1;
-      for (int retry = 0; retry < 64; ++retry) {
-        const int candidate = SampleFromCdf(global_cdf, rng);
-        if (k == 1 || graph.labels[candidate] != graph.labels[u]) {
-          v = candidate;
-          break;
-        }
-      }
-      if (v < 0) continue;
-    }
-    if (u == v) continue;
-    const auto key = std::minmax(u, v);
-    if (!seen.insert({key.first, key.second}).second) continue;
-    graph.edges.emplace_back(key.first, key.second);
-  }
-  return graph;
-}
-
-DcSbmPlan PlanDcSbm(const PlantedPartitionConfig& config, Rng& rng) {
-  SKIPNODE_CHECK(config.num_nodes > 0);
-  SKIPNODE_CHECK(config.num_classes > 0);
-  SKIPNODE_CHECK(config.homophily >= 0.0 && config.homophily <= 1.0);
-  const int n = config.num_nodes;
-  const int k = config.num_classes;
-
-  DcSbmPlan plan;
-  // Balanced classes, randomly assigned (same scheme as PlantedPartition).
-  plan.labels.resize(n);
-  std::vector<int> order(n);
-  for (int i = 0; i < n; ++i) order[i] = i;
-  rng.Shuffle(order);
-  for (int i = 0; i < n; ++i) plan.labels[order[i]] = i % k;
-
-  std::vector<double> theta(n, 1.0);
-  if (config.power_law > 0.0) {
-    for (int i = 0; i < n; ++i) {
-      double u = rng.Uniform();
-      while (u <= 1e-12) u = rng.Uniform();
-      theta[i] = std::min(std::pow(u, -1.0 / config.power_law),
-                          config.max_propensity);
-    }
-  }
-
+  // Cumulative propensity tables: per class, then global.
   plan.class_members.resize(k);
   for (int i = 0; i < n; ++i) {
     plan.class_members[plan.labels[i]].push_back(i);
   }
-  plan.global_cdf.resize(n);
-  double running = 0.0;
-  for (int i = 0; i < n; ++i) {
-    running += theta[i];
-    plan.global_cdf[i] = running;
+  for (const std::vector<int>& members : plan.class_members) {
+    std::vector<double> weights;
+    weights.reserve(members.size());
+    for (const int i : members) weights.push_back(theta[i]);
+    plan.class_cdf.emplace_back(weights);
   }
-  plan.class_cdf.resize(k);
-  for (int c = 0; c < k; ++c) {
-    running = 0.0;
-    plan.class_cdf[c].reserve(plan.class_members[c].size());
-    for (const int i : plan.class_members[c]) {
-      running += theta[i];
-      plan.class_cdf[c].push_back(running);
-    }
-  }
-
-  plan.edge_stream_rng = Rng(rng.Next());
+  plan.global_cdf = CutpointTable(theta);
   return plan;
 }
 
-void StreamDcSbmEdges(const PlantedPartitionConfig& config,
-                      const DcSbmPlan& plan,
-                      const std::function<void(int, int)>& emit) {
+// Draws edges with `rng` until accept(u, v) has taken config.num_edges pairs
+// or the attempt budget runs out, and returns the number taken: u globally
+// by propensity; v within u's class with probability `homophily`, otherwise
+// globally, resampling (not skipping) same-class hits so the realised
+// homophily matches the target instead of drifting upward. accept sees
+// u < v and returns whether the pair counts.
+template <typename Accept>
+int64_t DrawDcSbmEdges(const PlantedPartitionConfig& config,
+                       const DcSbmPlan& plan, Rng& rng, Accept&& accept) {
   const int k = config.num_classes;
-  // Copying the plan's Rng restarts the stream, so every call replays the
-  // identical draw sequence — the property both builder passes rely on.
-  Rng rng = plan.edge_stream_rng;
   const int64_t max_attempts =
       static_cast<int64_t>(config.num_edges) * 30 + 1000;
-  int64_t emitted = 0;
-  int64_t attempts = 0;
-  // Same acceptance logic as PlantedPartition, minus the std::set: u drawn
-  // globally by propensity, v within u's class with probability `homophily`,
-  // otherwise cross-class with bounded resampling. Duplicate pairs pass
-  // through; the consumer deduplicates.
-  while (emitted < config.num_edges && attempts < max_attempts) {
-    ++attempts;
-    const int u = SampleFromCdf(plan.global_cdf, rng);
+  int64_t accepted = 0;
+  for (int64_t attempts = 0;
+       accepted < config.num_edges && attempts < max_attempts; ++attempts) {
+    const int u = plan.global_cdf.Draw(rng);
     int v;
     if (rng.Bernoulli(config.homophily)) {
       const int c = plan.labels[u];
-      v = plan.class_members[c][SampleFromCdf(plan.class_cdf[c], rng)];
+      v = plan.class_members[c][plan.class_cdf[c].Draw(rng)];
     } else {
       v = -1;
       for (int retry = 0; retry < 64; ++retry) {
-        const int candidate = SampleFromCdf(plan.global_cdf, rng);
+        const int candidate = plan.global_cdf.Draw(rng);
         if (k == 1 || plan.labels[candidate] != plan.labels[u]) {
           v = candidate;
           break;
@@ -200,8 +132,48 @@ void StreamDcSbmEdges(const PlantedPartitionConfig& config,
       if (v < 0) continue;
     }
     if (u == v) continue;
-    emit(std::min(u, v), std::max(u, v));
-    ++emitted;
+    if (accept(std::min(u, v), std::max(u, v))) ++accepted;
+  }
+  return accepted;
+}
+
+}  // namespace
+
+PlantedPartitionGraph PlantedPartition(const PlantedPartitionConfig& config,
+                                       Rng& rng) {
+  DcSbmPlan plan = PlanTables(config, rng);
+  PlantedPartitionGraph graph;
+  std::set<std::pair<int, int>> seen;
+  graph.edges.reserve(config.num_edges);
+  DrawDcSbmEdges(config, plan, rng, [&](int u, int v) {
+    if (!seen.insert({u, v}).second) return false;
+    graph.edges.emplace_back(u, v);
+    return true;
+  });
+  graph.labels = std::move(plan.labels);
+  return graph;
+}
+
+DcSbmPlan PlanDcSbm(const PlantedPartitionConfig& config, Rng& rng) {
+  DcSbmPlan plan = PlanTables(config, rng);
+  plan.edge_stream_rng = Rng(rng.Next());
+  return plan;
+}
+
+void StreamDcSbmEdges(const PlantedPartitionConfig& config,
+                      const DcSbmPlan& plan,
+                      const std::function<void(int, int)>& emit) {
+  const bool timed = TelemetryEnabled();
+  const int64_t start_ns = timed ? MonotonicNanos() : 0;
+  // Copying the plan's Rng restarts the stream, so every call replays the
+  // identical draw sequence — the property both builder passes rely on.
+  Rng rng = plan.edge_stream_rng;
+  const int64_t emitted = DrawDcSbmEdges(config, plan, rng, [&](int u, int v) {
+    emit(u, v);
+    return true;
+  });
+  if (timed) {
+    RecordTiming("graph.edge_stream", MonotonicNanos() - start_ns, emitted);
   }
 }
 

@@ -49,18 +49,47 @@ struct PlantedPartitionGraph {
 PlantedPartitionGraph PlantedPartition(const PlantedPartitionConfig& config,
                                        Rng& rng);
 
-// Precomputed sampling state for a *streamed* DC-SBM draw (DESIGN §13): the
-// label assignment and cumulative propensity tables — the same planning math
-// as PlantedPartition — plus a forked edge-stream Rng so the accepted edge
-// sequence can be replayed (once to count, once to fill a CsrBuilder)
-// without ever materialising the edge list. The fork is seeded by a single
-// draw from `rng`, so the caller's stream stays independent of how many
-// draws the edge stream ends up making.
+// A cumulative-weight table with a cutpoint ("guide") index, for inverse-CDF
+// draws in O(1) expected probes (DESIGN §13). Bucket b of the guide holds the
+// first index whose cumulative mass exceeds b * total / size(); a lookup
+// jumps to its target's bucket and walks from there, so it returns exactly
+// what std::upper_bound over the CDF returns, for one extra int per entry.
+class CutpointTable {
+ public:
+  CutpointTable() = default;
+  // Tabulates the running sums of non-negative `weights` (the last is the
+  // total mass) and builds the guide over them in one linear pass.
+  explicit CutpointTable(const std::vector<double>& weights);
+
+  // The first index whose cumulative mass exceeds `target`, clamped to
+  // size() - 1 — std::upper_bound plus the clamp, for any finite target.
+  // Requires a non-empty table.
+  int Lookup(double target) const;
+
+  // An index drawn with probability proportional to its weight:
+  // Lookup(Uniform() * total). One Rng draw.
+  int Draw(Rng& rng) const { return Lookup(rng.Uniform() * cdf_.back()); }
+
+  int size() const { return static_cast<int>(cdf_.size()); }
+
+ private:
+  std::vector<double> cdf_;
+  std::vector<int> guide_;  // size() buckets, entries in [0, size()]
+  double buckets_per_mass_ = 0.0;
+};
+
+// Precomputed sampling state for a DC-SBM draw (DESIGN §13): the label
+// assignment and the cutpoint propensity tables, globally and per class,
+// plus a forked edge-stream Rng so the accepted edge sequence can be
+// replayed (once to count, once to fill a CsrBuilder) without ever
+// materialising the edge list. The fork is seeded by a single draw from
+// `rng`, so the caller's stream stays independent of how many draws the
+// edge stream ends up making.
 struct DcSbmPlan {
   std::vector<int> labels;
   std::vector<std::vector<int>> class_members;
-  std::vector<double> global_cdf;
-  std::vector<std::vector<double>> class_cdf;
+  CutpointTable global_cdf;
+  std::vector<CutpointTable> class_cdf;  // indexes into class_members[c]
   Rng edge_stream_rng;
 };
 
@@ -68,8 +97,9 @@ DcSbmPlan PlanDcSbm(const PlantedPartitionConfig& config, Rng& rng);
 
 // Replays the plan's edge stream, calling emit(u, v) with u < v for every
 // accepted draw (u != v; duplicates are NOT filtered here — the pattern-mode
-// CsrBuilder collapses them, where PlantedPartition used a std::set).
+// CsrBuilder collapses them, where PlantedPartition uses a std::set).
 // Deterministic: every call over the same plan emits the identical sequence.
+// Each call is one `graph.edge_stream` timing (items = emitted edges).
 void StreamDcSbmEdges(const PlantedPartitionConfig& config,
                       const DcSbmPlan& plan,
                       const std::function<void(int, int)>& emit);

@@ -4,7 +4,10 @@
 #include "graph/generators.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -36,6 +39,109 @@ TEST(ErdosRenyiTest, ExtremeProbabilities) {
   Rng rng(3);
   EXPECT_TRUE(ErdosRenyi(20, 0.0, rng).empty());
   EXPECT_EQ(ErdosRenyi(20, 1.0, rng).size(), 190u);
+}
+
+// What the cutpoint lookup must reproduce: the first index whose cumulative
+// mass exceeds `target` (std::upper_bound), clamped to the last entry.
+int UpperBoundIndex(const std::vector<double>& cdf, double target) {
+  const auto it = std::upper_bound(cdf.begin(), cdf.end(), target);
+  return static_cast<int>(std::min<size_t>(it - cdf.begin(), cdf.size() - 1));
+}
+
+// Probes CutpointTable over `weights` at every CDF entry and bucket edge,
+// one ulp either side of each, the ends of the range, past the total, and
+// random targets, against UpperBoundIndex.
+void ExpectMatchesUpperBound(const std::vector<double>& weights) {
+  std::vector<double> cdf;
+  double running = 0.0;
+  for (const double w : weights) {
+    running += w;
+    cdf.push_back(running);
+  }
+  const CutpointTable table(weights);
+  ASSERT_EQ(table.size(), static_cast<int>(cdf.size()));
+  const double total = cdf.back();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  std::vector<double> targets = {0.0, -1.0, total, 2.0 * total + 1.0,
+                                 // Uniform()'s largest value times the total
+                                 // rounds up to the total for many totals.
+                                 (1.0 - 0x1.0p-53) * total};
+  for (const double entry : cdf) targets.push_back(entry);
+  for (size_t b = 0; b <= cdf.size(); ++b) {
+    targets.push_back(b * (total / static_cast<double>(cdf.size())));
+  }
+  const size_t exact = targets.size();
+  for (size_t t = 0; t < exact; ++t) {
+    targets.push_back(std::nextafter(targets[t], inf));
+    targets.push_back(std::nextafter(targets[t], -inf));
+  }
+  Rng rng(11);
+  for (int t = 0; t < 2000; ++t) targets.push_back(rng.Uniform() * total);
+
+  for (const double target : targets) {
+    ASSERT_EQ(table.Lookup(target), UpperBoundIndex(cdf, target))
+        << "target " << target << " of total " << total << " over "
+        << cdf.size() << " entries";
+  }
+}
+
+TEST(CutpointTableTest, OneAndTwoEntries) {
+  ExpectMatchesUpperBound({1.0});
+  ExpectMatchesUpperBound({0.3});
+  ExpectMatchesUpperBound({1.0, 1.0});
+  ExpectMatchesUpperBound({0.1, 7.0});
+  ExpectMatchesUpperBound({7.0, 0.1});
+}
+
+TEST(CutpointTableTest, EqualWeights) {
+  ExpectMatchesUpperBound(std::vector<double>(1000, 1.0));
+  ExpectMatchesUpperBound(std::vector<double>(997, 0.1));
+  // Thirds: just below a bucket edge the bucket maths round up a bucket,
+  // past the answer, so the lookup has to step back.
+  ExpectMatchesUpperBound(std::vector<double>(14, 1.0 / 3.0));
+  ExpectMatchesUpperBound(std::vector<double>(20, 1.0 / 3.0));
+}
+
+TEST(CutpointTableTest, OneHubHoldsMostOfTheMass) {
+  for (const int hub : {0, 250, 499}) {
+    std::vector<double> weights(500, 1.0);
+    weights[hub] = 1e6;
+    ExpectMatchesUpperBound(weights);
+  }
+}
+
+TEST(CutpointTableTest, ZeroWeightRunsTieTheCdf) {
+  std::vector<double> weights(300, 0.0);
+  for (int i = 40; i < 60; ++i) weights[i] = 1.0;
+  weights[150] = 5.0;
+  weights[299] = 0.5;
+  ExpectMatchesUpperBound(weights);  // leading, inner and trailing ties
+  weights[299] = 0.0;
+  ExpectMatchesUpperBound(weights);  // ends on a tie
+  ExpectMatchesUpperBound(std::vector<double>(10, 0.0));  // no mass at all
+}
+
+TEST(CutpointTableTest, PropensityLikeWeights) {
+  // DC-SBM's theta: U(0,1)^{-1/2.5} capped at 10.
+  Rng rng(12);
+  std::vector<double> weights(5000);
+  for (double& w : weights) {
+    w = std::min(std::pow(1.0 - rng.Uniform(), -1.0 / 2.5), 10.0);
+  }
+  ExpectMatchesUpperBound(weights);
+}
+
+TEST(CutpointTableTest, DrawConsumesOneUniform) {
+  const CutpointTable table({1.0, 2.0, 0.0, 3.0});
+  const std::vector<double> cdf = {1.0, 3.0, 3.0, 6.0};
+  Rng draws(13);
+  Rng reference(13);
+  for (int t = 0; t < 100; ++t) {
+    const double target = reference.Uniform() * cdf.back();
+    ASSERT_EQ(table.Draw(draws), UpperBoundIndex(cdf, target));
+  }
+  EXPECT_EQ(draws.Next(), reference.Next());
 }
 
 class PlantedPartitionTest : public ::testing::TestWithParam<double> {};
