@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -24,20 +25,15 @@ EdgeList ErdosRenyi(int num_nodes, double p, Rng& rng) {
   return edges;
 }
 
-CutpointTable::CutpointTable(const std::vector<double>& weights) {
-  const int n = static_cast<int>(weights.size());
-  cdf_.resize(n);
-  double running = 0.0;
-  for (int i = 0; i < n; ++i) {
-    running += weights[i];
-    cdf_[i] = running;
-  }
+CutpointTable::CutpointTable(const std::vector<double>& weights)
+    : cdf_(weights.size()), guide_(weights.size()) {
+  std::partial_sum(weights.begin(), weights.end(), cdf_.begin());
+  const int n = size();
   if (n == 0) return;
-  const double width = running / n;
-  buckets_per_mass_ = running > 0.0 ? n / running : 0.0;
-  guide_.resize(n);
+  const double total = cdf_.back();
+  buckets_per_mass_ = total > 0.0 ? n / total : 0.0;
   for (int b = 0, i = 0; b < n; ++b) {
-    while (i < n && cdf_[i] <= b * width) ++i;
+    while (i < n && cdf_[i] <= b * (total / n)) ++i;
     guide_[b] = i;
   }
 }
@@ -50,6 +46,9 @@ int CutpointTable::Lookup(double target) const {
   int i = guide_[scaled > 0.0 ? static_cast<int>(std::min(scaled, n - 1.0))
                               : 0];
   while (i > 0 && cdf_[i - 1] > target) --i;
+  // Most draws step forward zero or one entries. Taking that first step
+  // without a branch leaves only the rare longer walks to mispredict.
+  if (i < n) i += cdf_[i] <= target;
   while (i < n && cdf_[i] <= target) ++i;
   return std::min(i, n - 1);
 }

@@ -62,8 +62,7 @@ class CutpointTable {
   explicit CutpointTable(const std::vector<double>& weights);
 
   // The first index whose cumulative mass exceeds `target`, clamped to
-  // size() - 1 — std::upper_bound plus the clamp, for any finite target.
-  // Requires a non-empty table.
+  // size() - 1 (std::upper_bound plus the clamp). Requires size() > 0.
   int Lookup(double target) const;
 
   // An index drawn with probability proportional to its weight:
@@ -78,13 +77,12 @@ class CutpointTable {
   double buckets_per_mass_ = 0.0;
 };
 
-// Precomputed sampling state for a DC-SBM draw (DESIGN §13): the label
-// assignment and the cutpoint propensity tables, globally and per class,
-// plus a forked edge-stream Rng so the accepted edge sequence can be
-// replayed (once to count, once to fill a CsrBuilder) without ever
-// materialising the edge list. The fork is seeded by a single draw from
-// `rng`, so the caller's stream stays independent of how many draws the
-// edge stream ends up making.
+// Precomputed sampling state for a DC-SBM draw (DESIGN §13): labels and
+// cutpoint propensity tables, plus a forked edge-stream Rng so the accepted
+// edge sequence can be replayed (once to count, once to fill a CsrBuilder)
+// without ever materialising the edge list. The fork is seeded by a single
+// draw from `rng`, so the caller's stream stays independent of how many
+// draws the edge stream ends up making.
 struct DcSbmPlan {
   std::vector<int> labels;
   std::vector<std::vector<int>> class_members;
