@@ -42,6 +42,9 @@ With --baseline, diffs the run against a committed baseline (filtered to
 BENCH_NAME): a (cell, metric) pair present in the baseline but missing from
 the run is schema drift and fails; a cell that got much slower than the
 baseline elapsed_ns only warns (timing noise is expected across machines).
+For scale, the streamed graph is deterministic at a fixed seed: a record
+whose cell, metric and params (other than edges) match a baseline record
+must also match its edges param and, for footprint_bytes, its value.
 """
 import json
 import sys
@@ -410,11 +413,35 @@ def diff_against_baseline(path, records, baseline_path, bench_name):
                   f"{run_ns} ns vs baseline {base_ns} ns "
                   f"(> {ELAPSED_WARN_FACTOR:.0f}x)", file=sys.stderr)
             warned += 1
+    if bench_name == "scale":
+        diff_scale_graph(path, records, baseline)
     extra = sorted(set(run_keys) - set(base_keys))
     if extra:
         print(f"   note: cells not in baseline (refresh it): {extra}")
     print(f"   baseline diff ok ({len(base_keys)} keys, "
           f"{warned} slow-cell warnings)")
+
+
+def diff_scale_graph(path, records, baseline):
+    """The streamed DC-SBM is a pure function of its seed and params, so a
+    cell that rebuilds a baseline graph must emit the same edge count and
+    resident footprint; only timings may move."""
+    def graph_key(r):
+        params = {k: v for k, v in r["params"].items() if k != "edges"}
+        return (r["cell"], r["metric"], json.dumps(params, sort_keys=True))
+
+    base_by_key = {graph_key(r): r for r in baseline}
+    for r in records:
+        base = base_by_key.get(graph_key(r))
+        if base is None:
+            continue
+        if r["params"].get("edges") != base["params"].get("edges"):
+            fail(f"{path}: cell {r['cell']!r} built "
+                 f"{r['params'].get('edges')} edges vs baseline "
+                 f"{base['params'].get('edges')} — the streamed graph moved")
+        if r["metric"] == "footprint_bytes" and r["value"] != base["value"]:
+            fail(f"{path}: cell {r['cell']!r} footprint_bytes {r['value']} "
+                 f"vs baseline {base['value']} — the streamed graph moved")
 
 
 def main():
