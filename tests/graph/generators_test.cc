@@ -5,12 +5,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/telemetry.h"
 #include "tensor/ops.h"
 
 namespace skipnode {
@@ -202,6 +204,30 @@ TEST(PlantedPartitionTest, DegreeCorrectionCreatesSkew) {
   const int max_degree = *std::max_element(degree.begin(), degree.end());
   const double mean_degree = 2.0 * g.edges.size() / config.num_nodes;
   EXPECT_GT(max_degree, 3.0 * mean_degree);
+}
+
+TEST(StreamDcSbmEdgesTest, EachPassIsOneTimingOfItsEmittedEdges) {
+  Rng rng(14);
+  PlantedPartitionConfig config;
+  config.num_nodes = 400;
+  config.num_edges = 1500;
+  config.num_classes = 4;
+  const DcSbmPlan plan = PlanDcSbm(config, rng);
+
+  SetTelemetryEnabled(true);
+  ResetTelemetry();
+  int64_t emitted = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    StreamDcSbmEdges(config, plan, [&](int, int) { ++emitted; });
+  }
+  const TelemetrySnapshot snapshot = SnapshotTelemetry();
+  SetTelemetryEnabled(false);
+
+  EXPECT_EQ(emitted, 2 * config.num_edges);
+  const MetricStat* stream = snapshot.Find("graph.edge_stream");
+  ASSERT_NE(stream, nullptr);
+  EXPECT_EQ(stream->count, 2);
+  EXPECT_EQ(stream->items, emitted);
 }
 
 TEST(FeatureTest, FeaturesAreRowNormalised) {
