@@ -69,7 +69,7 @@ DcSbmPlan PlanTables(const PlantedPartitionConfig& config, Rng& rng) {
   // Balanced classes, randomly assigned.
   plan.labels.resize(n);
   std::vector<int> order(n);
-  for (int i = 0; i < n; ++i) order[i] = i;
+  std::iota(order.begin(), order.end(), 0);
   rng.Shuffle(order);
   for (int i = 0; i < n; ++i) plan.labels[order[i]] = i % k;
 
@@ -86,6 +86,7 @@ DcSbmPlan PlanTables(const PlantedPartitionConfig& config, Rng& rng) {
 
   // Cumulative propensity tables: per class, then global.
   plan.class_members.resize(k);
+  plan.class_cdf.reserve(k);  // regrowth would strew freed heap blocks
   for (int i = 0; i < n; ++i) {
     plan.class_members[plan.labels[i]].push_back(i);
   }
